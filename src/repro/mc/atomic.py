@@ -14,6 +14,16 @@ this module implements that reduction in two flavours:
   procedure per transition, straight-line under its TRUE(...)
   assumptions; a failed assumption disables that variant.  This is
   precisely the reduction Theorems 4.1/5.2 justify.
+
+Spins are detected at loop heads: the run takes a :func:`state_key` only
+when the thread stands at a ``LOOP_HEAD`` it has already reached in this
+run, and a repeated key disables the transition.  The CFG builder adds
+back edges only to loop heads, so every cycle of a single-thread run
+passes one, and the outermost head on a spin's cycle is reached no later
+than the spin begins.  The verdict equals a check after every step and
+arrives at most one loop period later (assuming, like the explorer's
+dedup, that canonically equal worlds behave alike); a spin whose later
+detection lands past ``step_budget`` raises the budget ``InterpError``.
 """
 
 from __future__ import annotations
@@ -21,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.cfg.graph import NodeKind
 from repro.errors import AssertionViolation, InterpError
 from repro.interp.interp import AssumeFailed, Interp
-from repro.interp.state import Event, World
+from repro.interp.state import Event, Thread, World
 from repro.mc.canonical import state_key
 
 
@@ -37,6 +48,21 @@ class AtomicOutcome:
     desc: str = ""
 
 
+def _spins(w: World, thread: Thread, heads: set, seen: set) -> bool:
+    """True when ``thread`` is back at a loop head, reached before in
+    this run, in a state already recorded there."""
+    node = thread.frame.node
+    if node is None or node.kind is not NodeKind.LOOP_HEAD:
+        return False
+    if node not in heads:
+        heads.add(node)
+        return False
+    key = state_key(w)
+    spun = key in seen
+    seen.add(key)
+    return spun
+
+
 def run_to_commit(interp: Interp, world: World, tid: int,
                   step_budget: int = 10_000) -> AtomicOutcome:
     """Run thread ``tid``'s next whole invocation as one transition."""
@@ -44,7 +70,7 @@ def run_to_commit(interp: Interp, world: World, tid: int,
     thread = w.threads[tid]
     name, args = thread.current_call()
     outcome = AtomicOutcome(desc=f"t{tid}:{name}{args}")
-    seen = {state_key(w)}
+    heads, seen = set(), set()  # the pre-invoke state never recurs
     for _ in range(step_budget):
         try:
             event = interp.step(w, tid)
@@ -59,10 +85,8 @@ def run_to_commit(interp: Interp, world: World, tid: int,
                 and outcome.events and outcome.events[-1].kind == "return":
             outcome.world = w
             return outcome
-        key = state_key(w)
-        if key in seen:
+        if _spins(w, thread, heads, seen):
             return outcome  # pure spinning: disabled from this state
-        seen.add(key)
     raise InterpError(
         f"atomic run of {name} exceeded {step_budget} steps")
 
@@ -78,7 +102,7 @@ def run_variant(original: Interp, variant_interp: Interp, world: World,
     outcome = AtomicOutcome(desc=f"t{tid}:{name}{args} via {variant_name}")
     variant_interp.begin_call(w, tid, variant_name, args, display=name)
     outcome.events.append(w.history[-1])
-    seen = {state_key(w)}
+    heads, seen = {thread.frame.node}, set()  # start counts as reached
     for _ in range(step_budget):
         try:
             event = variant_interp.step(w, tid)
@@ -92,9 +116,7 @@ def run_variant(original: Interp, variant_interp: Interp, world: World,
         if thread.frame is None:
             outcome.world = w
             return outcome
-        key = state_key(w)
-        if key in seen:
+        if _spins(w, thread, heads, seen):
             return outcome  # residual loop spins: disabled
-        seen.add(key)
     raise InterpError(
         f"atomic variant {variant_name} exceeded {step_budget} steps")

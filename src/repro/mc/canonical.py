@@ -13,6 +13,14 @@ are abstracted relationally, keeping the state space finite:
   versioned CAS can test).
 
 Repeating thread scripts wrap their op index modulo the script length.
+
+Known quirk: :func:`state_key` maps each thread's reservation and
+observation addresses while it visits that thread, before
+``heap_contents()`` gives ids to objects reachable only through the
+heap.  An address on such an object is dropped as unreachable unless an
+earlier root (a global, or a lower tid's locals) already named it, so
+which addresses survive depends on tid order.  A valid reservation on an
+array reached only through an object field leaves the key unchanged.
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
-"""Unit tests for the atomic-transition machinery (mc/atomic.py) and a
-property test: full vs atomic exploration agree on quiescent states for
-randomly drawn thread-spec mixes."""
+"""Unit tests for the atomic-transition machinery (mc/atomic.py), the
+work its loop-head spin check does, and a property test: full vs atomic
+exploration agree on quiescent states for randomly drawn thread-spec
+mixes."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import corpus
 from repro.analysis import analyze_program
+from repro.errors import InterpError
 from repro.interp import Interp, ThreadSpec
-from repro.mc import Explorer, run_to_commit, run_variant
+from repro.mc import Explorer, atomic, run_to_commit, run_variant
 
 SOURCE = """
 global G;
@@ -28,6 +31,26 @@ proc WaitFor(v) {
   }
 }
 proc Crash() { assert(G < 100); G = G + 1; }
+proc WaitOuter(v) {
+  outer: loop {
+    loop {
+      local t = LL(G) in {
+        if (t != v) { continue outer; }
+        return 1;
+      }
+    }
+  }
+}
+proc WaitInner(v) {
+  loop {
+    loop {
+      local t = LL(G) in {
+        if (t == v) { break; }
+      }
+    }
+    return 1;
+  }
+}
 """
 
 
@@ -97,6 +120,77 @@ def test_run_variant_respects_assumptions_after_state_change():
     # only after UpdateTail helps — so the variant is disabled here
     value = run_variant(interp, variant_interp, added.world, 1, "DeqP2")
     assert value.world is None
+
+
+# -- spin detection at loop heads ----------------------------------------------------
+
+def _count_keys(monkeypatch) -> list[int]:
+    calls = [0]
+    real = atomic.state_key
+
+    def counting(world):
+        calls[0] += 1
+        return real(world)
+
+    monkeypatch.setattr(atomic, "state_key", counting)
+    return calls
+
+
+def test_gh_apply_keys_only_at_revisited_loop_heads(monkeypatch):
+    calls = _count_keys(monkeypatch)
+    interp = Interp(corpus.GH_PROGRAM1)
+    world = interp.make_world([ThreadSpec.of(("Apply", 1))])
+    outcome = run_to_commit(interp, world, 0)
+    assert outcome.world is not None
+    # the copy loop's head is reached four times: keys on the last three
+    assert calls[0] <= 3
+
+
+def test_loop_free_procedure_takes_no_keys(monkeypatch):
+    calls = _count_keys(monkeypatch)
+    interp = _interp()
+    world = interp.make_world([ThreadSpec.of(("Crash",))])
+    outcome = run_to_commit(interp, world, 0)
+    assert outcome.world is not None
+    assert calls[0] == 0
+
+
+def test_spin_through_continue_to_outer_loop_is_disabled():
+    interp = _interp()
+    world = interp.make_world([ThreadSpec.of(("WaitOuter", 5))])
+    assert run_to_commit(interp, world, 0).world is None
+    world = interp.make_world([ThreadSpec.of(("WaitOuter", 0))])
+    assert run_to_commit(interp, world, 0).world is not None
+
+
+def test_spin_inside_inner_loop_is_disabled():
+    interp = _interp()
+    world = interp.make_world([ThreadSpec.of(("WaitInner", 5))])
+    assert run_to_commit(interp, world, 0).world is None
+    world = interp.make_world([ThreadSpec.of(("WaitInner", 0))])
+    assert run_to_commit(interp, world, 0).world is not None
+
+
+def test_variant_starting_at_loop_head_detects_spin():
+    interp = _interp()
+    world = interp.make_world([ThreadSpec.of(("WaitFor", 5))])
+    # WaitFor's first node is its loop head, and a spin period is three
+    # steps.  The start position counts as the first arrival, so the key
+    # is recorded at step 3 and repeats at step 6
+    outcome = run_variant(interp, interp, world, 0, "WaitFor",
+                          step_budget=6)
+    assert outcome.world is None and outcome.violation is None
+
+
+def test_spin_detected_past_step_budget_raises():
+    interp = _interp()
+    world = interp.make_world([ThreadSpec.of(("WaitFor", 5))])
+    with pytest.raises(InterpError, match="exceeded 5 steps"):
+        run_variant(interp, interp, world, 0, "WaitFor", step_budget=5)
+    # run-to-commit spends one step on the invocation itself
+    assert run_to_commit(interp, world, 0, step_budget=7).world is None
+    with pytest.raises(InterpError, match="exceeded 6 steps"):
+        run_to_commit(interp, world, 0, step_budget=6)
 
 
 # -- property: reduction soundness over random spec mixes ------------------------------

@@ -1,6 +1,7 @@
 """Canonical state hashing: allocation-order invariance, reservation
 and counter abstraction, repeat-script wrapping."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,29 @@ def test_quiescent_key_ignores_stale_reservations():
     w2 = w1.copy()
     w2.threads[0].reservations[("g", "Head")] = True
     assert quiescent_key(w1) == quiescent_key(w2)
+    assert state_key(w1) != state_key(w2)
+
+
+BOXED = """
+class Box { cells; }
+global B;
+init {
+  local b = new Box in { b.cells = new int[2]; B = b; }
+}
+proc Noop() { skip; }
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "thread keys map reservation addresses before heap_contents() gives "
+    "ids to heap-only objects, so this reservation is dropped"))
+def test_valid_reservation_on_heap_only_array_changes_key():
+    interp = Interp(BOXED)
+    w1 = interp.make_world([ThreadSpec.of(("Noop",))])
+    w2 = w1.copy()
+    box = w2.heap.objects[w2.globals["B"].oid]
+    cells = box.fields["cells"]  # reachable only through Box.cells
+    w2.threads[0].reservations[("e", cells.oid, 0)] = True
     assert state_key(w1) != state_key(w2)
 
 
