@@ -63,8 +63,8 @@ DEFAULT_HISTORY = "BENCH_history.jsonl"
 #: drift, even when the IQR band is zero (single-repeat records)
 DEFAULT_REL_THRESHOLD = 0.10
 
-#: wall times at or below this are scheduler jitter — compare_sets
-#: reports them as ``~`` regardless of relative delta
+#: wall times at or below this are scheduler jitter — never reported
+#: as a change by :func:`wall_change`, whatever the relative delta
 NOISE_FLOOR_S = 0.005
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -574,15 +574,34 @@ def _stat(record: dict, key: str, fallback: float = 0.0) -> float:
     return fallback
 
 
+def wall_change(old: dict, new: dict, threshold: float) -> dict:
+    """The one wall-time noise rule, shared by ``bench compare`` and
+    the regression watchdog: compare the two records' medians, and
+    call the change ``slower`` / ``faster`` only when it clears the
+    relative ``threshold`` and the summed IQR noise bands (floored at
+    the absolute :data:`NOISE_FLOOR_S`), and at least one side is
+    above that floor; otherwise ``~``."""
+    old_w, new_w = _stat(old, "median"), _stat(new, "median")
+    # the absolute floor backstops the IQR band: a few-ms wobble on a
+    # small benchmark is machine-load jitter regardless of its
+    # relative size
+    noise = max(NOISE_FLOOR_S, _stat(old, "iqr") + _stat(new, "iqr"))
+    delta = new_w - old_w
+    rel = delta / old_w if old_w > 0 else 0.0
+    verdict = "~"
+    if max(old_w, new_w) > NOISE_FLOOR_S and abs(rel) > threshold \
+            and abs(delta) > noise:
+        verdict = "slower" if delta > 0 else "faster"
+    return {"verdict": verdict, "old_wall_s": old_w, "new_wall_s": new_w,
+            "rel": rel, "noise_s": noise}
+
+
 def compare_records_stats(a: list[dict], b: list[dict],
                           threshold: float = DEFAULT_REL_THRESHOLD
                           ) -> list[dict]:
     """Per-record verdict rows comparing run ``a`` (older) to ``b``
-    (newer).  Verdicts: ``~`` (within noise), ``slower``, ``faster``,
-    ``new``, ``missing``.  A delta is significant only when it clears
-    the relative ``threshold`` and the summed IQR noise bands (floored
-    at the absolute :data:`NOISE_FLOOR_S`), and at least one side is
-    above the absolute noise floor."""
+    (newer) under :func:`wall_change`.  Verdicts: ``~`` (within
+    noise), ``slower``, ``faster``, ``new``, ``missing``."""
     rows: list[dict] = []
     a_by = {r["name"]: r for r in a}
     b_by = {r["name"]: r for r in b}
@@ -596,25 +615,12 @@ def compare_records_stats(a: list[dict], b: list[dict],
             rows.append({"name": name, "verdict": "missing",
                          "detail": "record absent from the newer run"})
             continue
-        old_w, new_w = _stat(old, "median"), _stat(new, "median")
-        # the absolute floor backstops the IQR band: a few-ms wobble
-        # on a small benchmark is machine-load jitter regardless of
-        # its relative size
-        noise = max(NOISE_FLOOR_S,
-                    _stat(old, "iqr") + _stat(new, "iqr"))
-        delta = new_w - old_w
-        rel = delta / old_w if old_w > 0 else 0.0
-        row = {"name": name, "verdict": "~",
-               "old_wall_s": round(old_w, 6),
-               "new_wall_s": round(new_w, 6),
-               "delta_pct": round(rel * 100, 1),
-               "noise_s": round(noise, 6)}
-        significant = (max(old_w, new_w) > NOISE_FLOOR_S
-                       and abs(rel) > threshold
-                       and abs(delta) > noise)
-        if significant:
-            row["verdict"] = "slower" if delta > 0 else "faster"
-        rows.append(row)
+        change = wall_change(old, new, threshold)
+        rows.append({"name": name, "verdict": change["verdict"],
+                     "old_wall_s": round(change["old_wall_s"], 6),
+                     "new_wall_s": round(change["new_wall_s"], 6),
+                     "delta_pct": round(change["rel"] * 100, 1),
+                     "noise_s": round(change["noise_s"], 6)})
     return rows
 
 

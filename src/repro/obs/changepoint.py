@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.obs.bench import median
+
 #: contrast statistic a split must clear to count as a step
 Z_THRESHOLD = 4.0
 #: minimum relative mean shift (fraction of the pooled mean)
@@ -39,17 +41,6 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    if not n:
-        return 0.0
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
 def robust_scale(values: list[float]) -> float:
     """Noise scale of a series that may contain steps: MAD of the
     first differences (a step contributes one outlier difference,
@@ -59,8 +50,8 @@ def robust_scale(values: list[float]) -> float:
     if len(values) < 3:
         return 0.0
     diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    med = _median(diffs)
-    mad = _median([abs(d - med) for d in diffs])
+    med = median(diffs)
+    mad = median([abs(d - med) for d in diffs])
     return mad / (0.6745 * 1.4142135623730951)
 
 
@@ -146,7 +137,7 @@ def detect_history(history: list[dict],
         iqrs = [float(entry.get("metrics", {}).get(name, {})
                       .get("iqr") or 0.0)
                 for _, _, entry in points]
-        noise_floor = _median([q for q in iqrs if q > 0]) \
+        noise_floor = median([q for q in iqrs if q > 0]) \
             if any(q > 0 for q in iqrs) else 0.0
         for step in detect_steps(values, z_threshold=z_threshold,
                                  min_rel=min_rel,

@@ -232,6 +232,32 @@ class Histogram:
         return inst
 
 
+def depth_summary(depth_counts: dict[int, int]) -> dict:
+    """Exact summary statistics over a ``{depth: count}`` histogram
+    (unlike the log-bucketed :class:`Histogram`, depths are small ints
+    so exact nearest-rank percentiles are free).  Shared by the
+    explorer's ``mc.depth`` metric and ``repro top``'s depth row."""
+    total = sum(depth_counts.values())
+    if not total:
+        return {"count": 0, "min": 0, "max": 0, "mean": 0.0,
+                "p50": 0, "p95": 0, "p99": 0}
+    ordered = sorted(depth_counts)
+    out = {"count": total, "min": ordered[0], "max": ordered[-1],
+           "mean": round(sum(d * n for d, n in depth_counts.items())
+                         / total, 3)}
+    for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        rank = max(1, int(q * total + 0.999999))
+        seen = 0
+        value = ordered[-1]
+        for depth in ordered:
+            seen += depth_counts[depth]
+            if seen >= rank:
+                value = depth
+                break
+        out[name] = value
+    return out
+
+
 class EwmaRate:
     """Exponentially-weighted throughput estimator with an ETA.
 

@@ -79,6 +79,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from repro.obs import bench
+# re-exported: the watchdog's noise floor is the bench comparator's
+from repro.obs.bench import NOISE_FLOOR_S
 from repro.obs.export import validate_bench_file
 
 #: maximum allowed relative increase (wall_s, p95) / decrease
@@ -89,9 +92,6 @@ DEFAULT_THRESHOLDS = {
     "p95": 0.30,
     "mem_peak_mb": 0.30,
 }
-
-#: timings at or below this are pure scheduler jitter — never flagged
-NOISE_FLOOR_S = 0.005
 
 #: tail-latency (p95) estimates from a handful of repeats need even
 #: more headroom than medians before a relative threshold means
@@ -177,19 +177,6 @@ def compare_records(fresh: list[dict], baseline: list[dict],
     return findings
 
 
-def _median_wall(record: dict) -> float:
-    """The gated wall time: ``stats.median`` when the record came from
-    the statistical bench harness (``repro bench run``), else the
-    single-shot ``wall_s``.  Harness records set wall_s = median, so
-    this is belt-and-braces for hand-edited files."""
-    stats = record.get("stats") or {}
-    return float(stats.get("median", record["wall_s"]))
-
-
-def _iqr(record: dict) -> float:
-    return float((record.get("stats") or {}).get("iqr", 0.0))
-
-
 #: below this many repeats a p95 is just the sample maximum — gating
 #: on it flags scheduler jitter, not tail regressions
 MIN_P95_REPEATS = 10
@@ -212,25 +199,20 @@ def _compare_one(file: str, name: str, fresh: dict, base: dict,
                  limits: dict) -> list[Finding]:
     out: list[Finding] = []
 
-    def slower(metric: str, new: float, old: float, limit: float,
-               floor: float = 0.0, noise: float = 0.0) -> None:
-        if max(new, old) <= floor:
-            return
-        if old > 0 and new > old * (1 + limit) and new - old > noise:
-            out.append(Finding(
-                file, name, metric, "regression",
-                f"{metric} {old:.6g} -> {new:.6g} "
-                f"(+{_pct(new, old):.1f}%, limit +{limit * 100:.0f}%)",
-                baseline=old, fresh=new))
+    def slower(metric: str, new: float, old: float, limit: float) -> None:
+        out.append(Finding(
+            file, name, metric, "regression",
+            f"{metric} {old:.6g} -> {new:.6g} "
+            f"(+{_pct(new, old):.1f}%, limit +{limit * 100:.0f}%)",
+            baseline=old, fresh=new))
 
-    # median-of-repeats gating: compare the medians and additionally
-    # require the delta to clear the combined IQR noise band — and
-    # always the absolute noise floor, so a few-ms wobble on a small
-    # benchmark cannot flag a phantom regression no matter how large
-    # it is relatively
-    slower("wall_s", _median_wall(fresh), _median_wall(base),
-           limits["wall_s"], floor=NOISE_FLOOR_S,
-           noise=max(NOISE_FLOOR_S, _iqr(fresh) + _iqr(base)))
+    # median-of-repeats gating under the shared noise rule: the delta
+    # must clear the relative limit, the combined IQR noise band and
+    # the absolute noise floor
+    wall = bench.wall_change(base, fresh, limits["wall_s"])
+    if wall["verdict"] == "slower":
+        slower("wall_s", wall["new_wall_s"], wall["old_wall_s"],
+               limits["wall_s"])
 
     new_rate, old_rate = fresh["states_per_s"], base["states_per_s"]
     # rate gating only matters for real searches, and only when the
@@ -250,9 +232,12 @@ def _compare_one(file: str, name: str, fresh: dict, base: dict,
             and _p95_meaningful(base):
         # tail estimates from a handful of repeats are the noisiest
         # number in the record — the IQR band applies here too
-        slower("p95", fresh_p["p95"], base_p["p95"],
-               limits["p95"], floor=P95_FLOOR_S,
-               noise=_iqr(fresh) + _iqr(base))
+        new, old = fresh_p["p95"], base_p["p95"]
+        if max(new, old) > P95_FLOOR_S and old > 0 \
+                and new > old * (1 + limits["p95"]) \
+                and new - old > bench._stat(fresh, "iqr") \
+                + bench._stat(base, "iqr"):
+            slower("p95", new, old, limits["p95"])
 
     new_mem = fresh.get("mem_peak_mb")
     old_mem = base.get("mem_peak_mb")
@@ -452,18 +437,13 @@ def update_baselines(out_dir: Union[str, pathlib.Path],
 def append_history(path: Union[str, pathlib.Path],
                    report: dict) -> pathlib.Path:
     """Append one summary line (never rewrites earlier entries)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    entry = {
+    return bench.append_history(path, {
         "at": round(time.time(), 3),
         "status": report["status"],
         "regressions": report["regressions"],
         "notes": report["notes"],
         "compared": report["compared"],
-    }
-    with path.open("a") as handle:
-        handle.write(json.dumps(entry) + "\n")
-    return path
+    })
 
 
 #: filename of the attribution artifact a failed gate auto-emits
@@ -479,7 +459,7 @@ def write_attribution(out_dir: Union[str, pathlib.Path],
     (:mod:`repro.obs.perfdiff`) next to the fresh bench files.
     Best-effort — records predating the counters block simply yield
     no artifact (``None``)."""
-    from repro.obs import bench, ledger, perfdiff
+    from repro.obs import ledger, perfdiff
 
     out_dir = pathlib.Path(out_dir)
     try:

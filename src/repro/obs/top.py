@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
-from repro.obs.metrics import EwmaRate
+from repro.obs.metrics import EwmaRate, depth_summary
 
 #: default refresh period in seconds
 DEFAULT_INTERVAL = 1.0
@@ -124,22 +124,8 @@ class TopState:
 
     def depth_percentiles(self) -> tuple[int, int, int]:
         """(p50, p95, max) over observed push depths."""
-        total = sum(self.depth_counts.values())
-        if not total:
-            return (0, 0, 0)
-        ordered = sorted(self.depth_counts)
-        out = []
-        for q in (0.50, 0.95):
-            rank = max(1, int(q * total + 0.999999))
-            seen = 0
-            value = ordered[-1]
-            for depth in ordered:
-                seen += self.depth_counts[depth]
-                if seen >= rank:
-                    value = depth
-                    break
-            out.append(value)
-        return (out[0], out[1], ordered[-1])
+        summary = depth_summary(self.depth_counts)
+        return (summary["p50"], summary["p95"], summary["max"])
 
     def to_dict(self) -> dict:
         p50, p95, dmax = self.depth_percentiles()
