@@ -21,6 +21,11 @@ Synchronization semantics (§3.1):
   get raw compare-and-swap, so the ABA problem is demonstrable.
 * ``synchronized`` uses Java monitor semantics (re-entrant; acquire
   blocks, making the transition disabled).
+
+Every change to a world is also appended to its
+:class:`~repro.interp.state.ChangeLog` (threads changed, shared stores,
+reference-slot changes, lock-table changes), which the model checker's
+incremental canonical keys read.
 """
 
 from __future__ import annotations
@@ -174,6 +179,10 @@ class Interp:
         for binding, value in zip(params, args):
             frame.env[binding] = value
         thread.frame = frame
+        log = world.log
+        log.tids.add(tid)
+        if _holds_ref(frame.args):
+            log.reshaped = True
         return world.emit(Event("invoke", tid, display or name,
                                 tuple(args)))
 
@@ -188,6 +197,7 @@ class Interp:
         if thread.done:
             raise InterpError(f"thread {thread.tid} is done")
         thread.steps += 1
+        world.log.tids.add(thread.tid)
 
         if thread.frame is None:
             name, args = thread.current_call()
@@ -202,6 +212,8 @@ class Interp:
             for binding, value in zip(params, args):
                 frame.env[binding] = value
             thread.frame = frame
+            if _holds_ref(args):
+                world.log.reshaped = True
             return world.emit(Event("invoke", thread.tid, name, args))
 
         frame = thread.frame
@@ -217,6 +229,8 @@ class Interp:
         assert frame is not None
         thread.frame = None
         thread.op_index += 1
+        if _holds_ref(frame.env.values()) or _holds_ref(frame.args):
+            world.log.reshaped = True
         if thread.tid < 0:
             return None
         return world.emit(Event("return", thread.tid, frame.proc_name,
@@ -235,7 +249,11 @@ class Interp:
 
         if kind is NodeKind.BIND:
             assert isinstance(stmt, A.LocalDecl)
-            frame.env[stmt.binding] = self._eval(world, thread, stmt.init)
+            value = self._eval(world, thread, stmt.init)
+            old = frame.env.get(stmt.binding)
+            frame.env[stmt.binding] = value
+            if value.__class__ is Ref or old.__class__ is Ref:
+                world.log.reshaped = True
         elif kind is NodeKind.STMT:
             if isinstance(stmt, A.Assign):
                 value = self._eval(world, thread, stmt.value)
@@ -270,6 +288,7 @@ class Interp:
             else:
                 raise InterpError(
                     f"thread {thread.tid} stepped into a held lock")
+            world.log.locks = True
         elif kind is NodeKind.RELEASE:
             lock = self._eval(world, thread, node.expr)
             assert isinstance(lock, Ref)
@@ -282,6 +301,7 @@ class Interp:
                 del world.locks[lock.oid]
             else:
                 world.locks[lock.oid] = (thread.tid, owner[1] - 1)
+            world.log.locks = True
         elif kind in (NodeKind.LOOP_HEAD, NodeKind.BREAK, NodeKind.CONTINUE,
                       NodeKind.ENTRY):
             pass
@@ -349,22 +369,37 @@ class Interp:
                value: Value) -> None:
         kind = addr[0]
         if kind == "g":
+            old = world.globals.get(addr[1])
             world.globals[addr[1]] = value
         elif kind == "t":
+            old = thread.threadlocals.get(addr[2])
             thread.threadlocals[addr[2]] = value
         elif kind == "l":
+            old = thread.frame.env.get(addr[2])
             thread.frame.env[addr[2]] = value
         elif kind == "f":
-            world.heap.write_field(Ref(addr[1]), addr[2], value)
+            old = world.heap.write_field(Ref(addr[1]), addr[2], value)
         elif kind == "e":
-            world.heap.write_elem(Ref(addr[1]), addr[2], value)
+            old = world.heap.write_elem(Ref(addr[1]), addr[2], value)
         else:
             raise InterpError(f"bad address {addr!r}")
+        log = world.log
+        if value.__class__ is Ref or old.__class__ is Ref:
+            log.reshaped = True
         if kind in ("g", "f", "e"):
-            world.versions[addr] = world.versions.get(addr, 0) + 1
+            log.stored.add(addr)
+            version = world.versions.get(addr, 0)
+            world.versions[addr] = version + 1
+            # the store changes another thread's state when it breaks a
+            # valid reservation or makes a current observation stale
             for other in world.threads:
-                if other.tid != thread.tid and addr in other.reservations:
+                if other.tid == thread.tid:
+                    continue
+                if other.reservations.get(addr):
                     other.reservations[addr] = False
+                    log.tids.add(other.tid)
+                elif other.observed.get(addr) == version:
+                    log.tids.add(other.tid)
 
     def _record_read(self, world: World, thread: Thread,
                      addr: Addr) -> None:
@@ -513,6 +548,10 @@ class Interp:
             raise InterpError(f"bad operands for {op}: "
                               f"{left!r}, {right!r}") from exc
         raise InterpError(f"bad binary {op}")
+
+
+def _holds_ref(values) -> bool:
+    return any(v.__class__ is Ref for v in values)
 
 
 def run(interp: Interp, world: World, schedule: Callable[[World, list[int]], int],

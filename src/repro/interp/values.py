@@ -3,11 +3,18 @@
 Values are Python ints/bools, ``None`` (SYNL ``null``), and
 :class:`Ref` heap references.  Heap objects come in two shapes: records
 (class instances with named fields) and arrays (int-indexed cells).
+
+Heap records are copy-on-write: a write installs a new record in place
+of the old one and never mutates a record after creation, so
+:meth:`Heap.copy` shares every record with the original.  A record may
+therefore cache its canonical form (``canon``, filled in by
+:mod:`repro.mc.canonical` on first keying).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import InterpError
 
@@ -26,18 +33,18 @@ class Ref:
 class HeapObject:
     class_name: str
     fields: dict[str, Value] = field(default_factory=dict)
-
-    def copy(self) -> "HeapObject":
-        return HeapObject(self.class_name, dict(self.fields))
+    #: cached canonical form; valid because the record is never mutated
+    canon: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
 
 @dataclass
 class HeapArray:
     class_name: str
     cells: list[Value] = field(default_factory=list)
-
-    def copy(self) -> "HeapArray":
-        return HeapArray(self.class_name, list(self.cells))
+    #: cached canonical form; valid because the record is never mutated
+    canon: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
 
 class Heap:
@@ -75,11 +82,17 @@ class Heap:
             raise InterpError(f"field access {name} on array {ref!r}")
         return obj.fields.get(name)
 
-    def write_field(self, ref: Value, name: str, value: Value) -> None:
+    def write_field(self, ref: Value, name: str, value: Value) -> Value:
+        """Install a copy of the record with ``name`` set; returns the
+        field's previous value."""
         obj = self.get(ref)
         if not isinstance(obj, HeapObject):
             raise InterpError(f"field write {name} on array {ref!r}")
-        obj.fields[name] = value
+        fields = dict(obj.fields)
+        old = fields.get(name)
+        fields[name] = value
+        self.objects[ref.oid] = HeapObject(obj.class_name, fields)
+        return old
 
     def read_elem(self, ref: Value, index: Value) -> Value:
         obj = self.get(ref)
@@ -92,7 +105,9 @@ class Heap:
                 f"array index {index} out of bounds [0, {len(obj.cells)})")
         return obj.cells[index]
 
-    def write_elem(self, ref: Value, index: Value, value: Value) -> None:
+    def write_elem(self, ref: Value, index: Value, value: Value) -> Value:
+        """Install a copy of the array with cell ``index`` set; returns
+        the cell's previous value."""
         obj = self.get(ref)
         if not isinstance(obj, HeapArray):
             raise InterpError(f"index write on non-array {ref!r}")
@@ -101,12 +116,17 @@ class Heap:
         if not 0 <= index < len(obj.cells):
             raise InterpError(
                 f"array index {index} out of bounds [0, {len(obj.cells)})")
-        obj.cells[index] = value
+        cells = list(obj.cells)
+        old = cells[index]
+        cells[index] = value
+        self.objects[ref.oid] = HeapArray(obj.class_name, cells)
+        return old
 
     def copy(self) -> "Heap":
-        out = Heap()
+        """A heap sharing every (immutable) record with this one."""
+        out = Heap.__new__(Heap)
+        out.objects = self.objects.copy()
         out._next = self._next
-        out.objects = {oid: obj.copy() for oid, obj in self.objects.items()}
         return out
 
 

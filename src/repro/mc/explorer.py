@@ -13,11 +13,13 @@ Modes (the four configurations of §6.3):
 The search is a DFS with canonical state hashing, property checks (per
 state and at quiescent states), an optional quiescent-state set for the
 soundness tests, a state cap, a soft deadline and violation traces.
-Its telemetry lives in :mod:`repro.mc.telemetry`.
+It runs with the cyclic garbage collector paused.  Its telemetry lives
+in :mod:`repro.mc.telemetry`.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from dataclasses import dataclass, field
@@ -316,8 +318,17 @@ class Explorer:
 
     # -- the search ---------------------------------------------------------------
     def run(self) -> MCResult:
-        with self.tracer.span("mc:run", mode=self.mode):
-            return self._run()
+        # the search makes no reference cycles, so the cyclic GC would
+        # only rescan the growing seen set; it is paused for the run and
+        # the caller's setting restored
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            with self.tracer.span("mc:run", mode=self.mode):
+                return self._run()
+        finally:
+            if collecting:
+                gc.enable()
 
     def _run(self) -> MCResult:
         start = time.perf_counter()
@@ -411,13 +422,13 @@ class Explorer:
                 t0 = time.perf_counter()
                 new_key = (state_key(succ.world), new_ghosts)
                 canon_wall = time.perf_counter() - t0
-                dup = new_key in seen
+                seen.add(new_key)  # one hash of the key, not two
+                dup = len(seen) == result.states
                 tel.transition(gid, step["tid"], succ, new_key, dup,
                                canon_wall, result.transitions,
                                len(stack))
                 if dup:
                     continue
-                seen.add(new_key)
                 result.states += 1
                 new_gid = tel.node(new_key, len(stack) + 1, succ.world)
                 message = self._check(succ.world, new_ghosts)

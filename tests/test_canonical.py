@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.interp import Interp, ThreadSpec, run_random
-from repro.mc import quiescent_key, state_key
+from repro.mc import Explorer, quiescent_key, shared_key, state_key
 
 SOURCE = """
 class Node { Value; Next; }
@@ -123,8 +123,8 @@ proc Noop() { skip; }
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "thread keys map reservation addresses before heap_contents() gives "
-    "ids to heap-only objects, so this reservation is dropped"))
+    "thread keys drop addresses on objects numbered after the thread's "
+    "watermark (heap-only objects), so this reservation is dropped"))
 def test_valid_reservation_on_heap_only_array_changes_key():
     interp = Interp(BOXED)
     w1 = interp.make_world([ThreadSpec.of(("Noop",))])
@@ -146,3 +146,42 @@ def test_same_schedule_same_key_property(seed_a, seed_b):
     run_random(interp, w1, seed=seed_a)
     run_random(interp, w2, seed=seed_b)
     assert state_key(w1) == state_key(w2)
+
+
+BOOL_VS_INT = """
+global G; global D;
+init { G = 0; D = 0; }
+proc SetTrue() { G = true; D = D + 1; }
+proc SetOne() { G = 1; D = D + 1; }
+proc Probe() {
+  loop { if (D == 2) { break; } }
+  assert(G == 1);
+}
+"""
+
+
+def test_bool_and_int_values_get_different_keys():
+    """SYNL's == tells true from 1, so the keys must too (inside a
+    tuple, True == 1)."""
+    interp = Interp(BOOL_VS_INT)
+    w_true = interp.make_world([ThreadSpec.of(("Probe",))])
+    w_one = w_true.copy()
+    w_true.globals["G"] = True  # edited before the first key
+    w_one.globals["G"] = 1
+    keys = [f(w) for f in (state_key, quiescent_key, shared_key)
+            for w in (w_true, w_one)]
+    assert keys[0] != keys[1] and keys[2] != keys[3] and keys[4] != keys[5]
+
+
+@pytest.mark.parametrize("mode", ["full", "por"])
+@pytest.mark.parametrize("order", [("SetTrue", "SetOne"),
+                                   ("SetOne", "SetTrue")])
+def test_bool_int_merge_does_not_hide_violation(order, mode):
+    """The serial schedule SetOne; SetTrue; Probe leaves G == true and
+    fails the assertion, whatever the thread order; merging true with 1
+    hid it when SetTrue ran as thread 0."""
+    specs = [ThreadSpec.of((order[0],)), ThreadSpec.of((order[1],)),
+             ThreadSpec.of(("Probe",))]
+    result = Explorer(Interp(BOOL_VS_INT), specs, mode=mode).run()
+    assert result.violation is not None
+    assert "assertion" in result.violation

@@ -2,11 +2,14 @@
 soundness property — reduced explorations reach exactly the quiescent
 states of the full one (the operational content of Theorem 5.2)."""
 
+import gc
+
 import pytest
 
 from repro import corpus
 from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer, QueueContents, QueueShape
+from repro.mc.properties import Property
 
 TINY = """
 global G;
@@ -275,3 +278,73 @@ def test_heatmap_without_analysis_is_unannotated():
                         annotated=False)
     assert doc["annotated"] is False
     assert doc["rows"]
+
+
+# -- the search runs with the cyclic GC paused --------------------------------------
+
+class _Raising(Property):
+    def check_state(self, world, interp, ghost):
+        raise RuntimeError("property blew up")
+
+
+class _GCProbe(Property):
+    """Records whether the cyclic GC is enabled at each state check."""
+
+    def __init__(self):
+        self.seen = []
+
+    def check_state(self, world, interp, ghost):
+        self.seen.append(gc.isenabled())
+        return None
+
+
+@pytest.fixture
+def restore_gc():
+    was = gc.isenabled()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _gc_probe_run():
+    probe = _GCProbe()
+    specs = [ThreadSpec.of(("Inc",)), ThreadSpec.of(("Inc",))]
+    _explore(TINY, specs, "full", properties=[probe])
+    return probe.seen
+
+
+def test_search_pauses_gc_and_restores_it_when_enabled(restore_gc):
+    gc.enable()
+    seen = _gc_probe_run()
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_search_leaves_gc_disabled_when_caller_disabled_it(restore_gc):
+    gc.disable()
+    _gc_probe_run()
+    assert not gc.isenabled()
+
+
+def test_search_restores_gc_when_it_raises(restore_gc):
+    gc.enable()
+    with pytest.raises(RuntimeError, match="blew up"):
+        _explore(TINY, [ThreadSpec.of(("Inc",))], "full",
+                 properties=[_Raising()])
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("mode", ["full", "por"])
+def test_search_makes_no_reference_cycles(restore_gc, mode):
+    """Pausing the GC is safe only while exploration leaves no cyclic
+    garbage; a change that makes per-state cycles fails here."""
+    gc.disable()
+    gc.collect()
+    specs = [ThreadSpec.of(("Apply", g)) for g in (1, 2, 3)]
+    explorer = Explorer(Interp(corpus.GH_PROGRAM1), specs, mode=mode,
+                        max_states=2000)
+    result = explorer.run()
+    assert result.capped
+    assert gc.collect() == 0
