@@ -7,12 +7,10 @@ N_THREADS = 3
 MAX_STATES = 2_000_000
 
 
-def test_section63(benchmark, report_sink, bench_collector):
+def test_section63(benchmark, report_sink):
     result = benchmark.pedantic(
         section63.run, kwargs=dict(n_threads=N_THREADS,
                                    max_states=MAX_STATES),
         rounds=1, iterations=1)
     assert result.matches_paper
-    for mode, mc_result in result.results.items():
-        bench_collector.add_mc(f"section63/{mode}", mc_result)
     report_sink("section63", section63.main(N_THREADS, MAX_STATES))

@@ -15,11 +15,9 @@
     python -m repro top SPOOL_DIR        # fleet dashboard over worker spools
     python -m repro analyze --corpus --jobs 4      # parallel corpus pass
     python -m repro experiments section63 --jobs 4 # parallel variant grid
-    python -m repro bench run            # statistical benchmark matrix
-    python -m repro bench trend          # perf trajectory sparklines
-    python -m repro bench trend --changepoints   # step detection
-    python -m repro bench compare A B    # noise-aware bench diff
     python -m repro perf diff A B        # attributed perf forensics
+    python -m repro perf trend           # perf trajectory sparklines
+    python -m repro perf trend --changepoints   # step detection
     python -m repro experiments NAME     # regenerate a table/figure
     python -m repro runs list            # persistent run ledger
     python -m repro runs diff -2 -1      # cross-run classification drift
@@ -70,7 +68,7 @@ from repro.analysis.blocks import partition_procedure
 from repro.errors import AssertionViolation, ReproError
 from repro.interp import Interp, ThreadSpec, run_random
 from repro.mc import Explorer
-from repro.obs import ObsConfig, Tracer, ledger
+from repro.obs import ObsConfig, Tracer, changepoint, ledger
 from repro.synl.inline import inline_calls
 from repro.synl.parser import parse_program
 from repro.synl.printer import pretty
@@ -90,7 +88,7 @@ EXIT_DEADLINE = 4
 #: ledger query must never grow the ledger)
 LEDGERED_COMMANDS = frozenset({
     "analyze", "blocks", "variants", "run", "mc", "lint", "report",
-    "experiments", "bench",
+    "experiments",
 })
 
 
@@ -838,8 +836,7 @@ def cmd_report(args) -> int:
               "run from a checkout with benchmarks/out)",
               file=sys.stderr)
         return 2
-    inputs = report_html.collect_inputs(paths,
-                                        baseline_dir=args.baselines)
+    inputs = report_html.collect_inputs(paths)
     html_text = report_html.render_report(inputs, title=args.title)
     out = pathlib.Path(args.output)
     out.write_text(html_text)
@@ -854,103 +851,42 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Statistical benchmark harness (docs/OBSERVABILITY.md).
+def cmd_perf(args) -> int:
+    """Perf forensics over the benchmark (docs/OBSERVABILITY.md).
 
-    ``run`` executes the declarative matrix with warmup + N repeats,
-    writes schema-versioned median-of-repeats ``BENCH_*.json`` files
-    and appends one line to the append-only ``BENCH_history.jsonl``
-    trajectory; ``trend`` renders per-record sparklines over that
-    trajectory; ``compare`` diffs two bench record sets with
-    noise-aware verdicts (exit 1 on significant drift, 2 on a usage
-    error)."""
-    from repro.obs import bench
+    ``diff`` resolves two profile-bearing operands — saved perfbench
+    ``--trace 1`` outputs, profile/analysis/mc JSON files,
+    ``--profile-out`` folded files, or ledger run tokens exactly like
+    ``runs diff`` (id/prefix/'last'/-N) — and prints the ranked
+    work-counter attribution table: exit 0 when no attributed drift
+    (identical seeded runs diff empty by construction), 1 on drift, 2
+    on a usage error.  ``trend`` renders per-workload sparklines over
+    the append-only ``BENCH_history.jsonl`` and, with
+    ``--changepoints``, the detected level shifts (informational:
+    exit 0)."""
+    from repro.obs import perfdiff
 
-    if args.bench_cmd == "run":
-        if args.repeats is not None:
-            repeats = bench.resolve_repeats(args.repeats)
-        elif args.quick:
-            repeats = 1          # --quick: 1 repeat, no warmup
-        else:
-            repeats = bench.resolve_repeats(None)
-        warmup = args.warmup if args.warmup is not None \
-            else (0 if args.quick else bench.DEFAULT_WARMUP)
-        cases = bench.default_matrix(quick=args.quick)
-        out_dir = pathlib.Path(args.out)
-        # progress is human-readable and goes to stderr even with
-        # --json: stdout must stay machine-clean either way
-        progress = (lambda line: print(line, file=sys.stderr))
-        docs = bench.run_matrix(cases, repeats, warmup,
-                                progress=progress)
-        paths = bench.write_run(docs, out_dir)
-        for filename, doc in sorted(docs.items()):
-            ledger.add_artifact(filename, doc)
-        history_path = pathlib.Path(args.history) if args.history \
-            else out_dir / bench.DEFAULT_HISTORY
-        entry = bench.history_line(docs)
-        bench.append_history(history_path, entry)
-        ledger.ref_artifact(history_path)
-        if args.json:
-            print(json.dumps({"v": 1, "repeats": repeats,
-                              "warmup": warmup,
-                              "files": [str(p) for p in paths],
-                              "history": str(history_path),
-                              "entry": entry}, indent=2))
-        else:
-            n = sum(len(d["records"]) for d in docs.values())
-            print(f"wrote {', '.join(str(p) for p in paths)} "
-                  f"({n} record(s), {repeats} repeat(s), "
-                  f"warmup {warmup}); appended {history_path}")
-        return 0
-
-    if args.bench_cmd == "trend":
-        history = bench.load_history(args.history)
+    if args.perf_cmd == "trend":
+        history = changepoint.load_history(args.history)
         window = history[-args.last:] if args.last else history
         steps = None
         if args.changepoints:
-            from repro.obs import changepoint
             steps = changepoint.detect_history(window,
                                                metric=args.metric)
         if args.json:
             doc = {"v": 1, "runs": len(history),
                    "metric": args.metric,
-                   "series": bench.trend_series(window, args.metric)}
+                   "series": changepoint.trend_series(window,
+                                                      args.metric)}
             if steps is not None:
                 doc["changepoints"] = steps
             print(json.dumps(doc, indent=2))
             return 0
-        print(bench.render_trend(history, metric=args.metric,
-                                 last=args.last))
+        print(changepoint.render_trend(history, metric=args.metric,
+                                       last=args.last))
         if steps is not None:
-            from repro.obs import changepoint
             print(changepoint.render_steps(steps, args.metric))
         return 0
-
-    # compare
-    try:
-        side_a = bench.resolve_side(args.a, baseline_dir=args.baselines)
-        side_b = bench.resolve_side(args.b, baseline_dir=args.baselines)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = bench.compare_sets(side_a, side_b,
-                                threshold=args.threshold)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(bench.render_compare(report))
-    return 1 if report["drift"] else 0
-
-
-def cmd_perf(args) -> int:
-    """Perf regression forensics (docs/OBSERVABILITY.md).  ``diff``
-    resolves two profile-bearing operands — ledger run tokens exactly
-    like ``runs diff`` (id/prefix/'last'/-N), BENCH/profile/analysis/
-    mc JSON files, ``--profile-out`` folded files, or directories of
-    ``BENCH_*.json`` — and prints the ranked work-counter attribution
-    table.  Exit 0 when no attributed drift (identical seeded runs
-    diff empty by construction), 1 on drift, 2 on a usage error."""
-    from repro.obs import perfdiff
 
     threshold = args.threshold if args.threshold is not None \
         else perfdiff.DEFAULT_THRESHOLD
@@ -1343,9 +1279,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: benchmarks/out when present)")
     p.add_argument("-o", "--output", default="report.html",
                    help="output file (default: report.html)")
-    p.add_argument("--baselines", default="benchmarks/baselines",
-                   help="committed bench baselines for the trajectory "
-                        "comparison (default: benchmarks/baselines)")
     p.add_argument("--title", default="repro report",
                    help="report title")
     p.add_argument("--self-check", action="store_true",
@@ -1354,92 +1287,25 @@ def build_parser() -> argparse.ArgumentParser:
                         "canary; writes nothing)")
     p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("bench",
-                       help="statistical benchmark harness: run the "
-                            "matrix, render the perf trajectory, "
-                            "compare runs (docs/OBSERVABILITY.md)")
-    bench_sub = p.add_subparsers(dest="bench_cmd", required=True)
-    q = bench_sub.add_parser(
-        "run", help="execute the benchmark matrix (warmup + N "
-                    "repeats), write median-of-repeats BENCH_*.json "
-                    "and append the trajectory line")
-    q.add_argument("--repeats", type=int, default=None, metavar="N",
-                   help="timed repeats per case (default: "
-                        "$REPRO_BENCH_REPEATS or 5)")
-    q.add_argument("--warmup", type=int, default=None, metavar="N",
-                   help="discarded warmup runs per case (default: 1; "
-                        "0 under --quick)")
-    q.add_argument("--quick", action="store_true",
-                   help="harness smoke: 1 repeat, no warmup, minimal "
-                        "matrix (one analysis + one exploration)")
-    q.add_argument("--out", default="benchmarks/out", metavar="DIR",
-                   help="output directory (default: benchmarks/out)")
-    q.add_argument("--history", default=None, metavar="FILE",
-                   help="trajectory file (default: "
-                        "OUT/BENCH_history.jsonl)")
-    q.add_argument("--json", action="store_true",
-                   help="emit a machine-readable JSON document "
-                        "instead of text")
-    q.set_defaults(fn=cmd_bench)
-    q = bench_sub.add_parser(
-        "trend", help="per-record sparkline trajectories over "
-                      "BENCH_history.jsonl")
-    q.add_argument("--history", default="benchmarks/out/"
-                                        "BENCH_history.jsonl",
-                   metavar="FILE")
-    q.add_argument("--metric", default="wall_s",
-                   choices=["wall_s", "states_per_s"],
-                   help="which per-record number to plot "
-                        "(default: wall_s)")
-    q.add_argument("--last", type=int, default=None, metavar="N",
-                   help="only the most recent N runs")
-    q.add_argument("--changepoints", action="store_true",
-                   help="run the e-divisive-style step detector over "
-                        "every (case, metric) series and annotate "
-                        "detected level shifts with the nearest git "
-                        "rev from the env fingerprint")
-    q.add_argument("--json", action="store_true",
-                   help="emit a machine-readable JSON document "
-                        "instead of text")
-    q.set_defaults(fn=cmd_bench)
-    q = bench_sub.add_parser(
-        "compare", help="noise-aware diff of two bench record sets "
-                        "(exit 1 on significant drift)")
-    q.add_argument("a", help="older side: a BENCH_*.json file, a "
-                             "directory, 'baseline', or 'ledger'")
-    q.add_argument("b", help="newer side (same forms)")
-    q.add_argument("--threshold", type=float, default=0.10,
-                   metavar="FRAC",
-                   help="relative wall-time delta a drift must clear "
-                        "(default: 0.10)")
-    q.add_argument("--baselines", default="benchmarks/baselines",
-                   metavar="DIR",
-                   help="directory the literal 'baseline' resolves "
-                        "to (default: benchmarks/baselines)")
-    q.add_argument("--json", action="store_true",
-                   help="emit a machine-readable JSON document "
-                        "instead of text")
-    q.set_defaults(fn=cmd_bench)
-
     p = sub.add_parser("perf",
-                       help="perf regression forensics: differential "
-                            "profiling with ranked attribution "
+                       help="perf forensics over the benchmark: ranked "
+                            "work attribution and the perf trajectory "
                             "(docs/OBSERVABILITY.md)")
     perf_sub = p.add_subparsers(dest="perf_cmd", required=True)
     q = perf_sub.add_parser(
         "diff", help="ranked work-counter attribution between two "
                      "profile-bearing runs (exit 1 on attributed "
                      "drift, 0 when identical seeded runs diff empty)")
-    q.add_argument("a", help="older side: ledger run (id/prefix/"
-                             "'last'/-N), a BENCH/profile/analysis/mc "
-                             "JSON file, a --profile-out folded file, "
-                             "or a directory of BENCH_*.json")
+    q.add_argument("a", help="older side: a saved perfbench --trace 1 "
+                             "output, a profile/analysis/mc JSON file, "
+                             "a --profile-out folded file, or a ledger "
+                             "run (id/prefix/'last'/-N)")
     q.add_argument("b", help="newer side (same forms)")
     q.add_argument("--threshold", type=float, default=None,
                    metavar="FRAC",
                    help="relative attributed-work growth a region "
                         "must exceed to gate (default: 0.25, the "
-                        "watchdog's wall_s threshold)")
+                        "benchmark's wall-time bound)")
     q.add_argument("--out", metavar="FILE", default=None,
                    help="also write the attribution document as JSON "
                         "(written on drift and no-drift alike — the "
@@ -1450,6 +1316,25 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--json", action="store_true",
                    help="emit the attribution document instead of "
                         "the table")
+    q.set_defaults(fn=cmd_perf)
+    q = perf_sub.add_parser(
+        "trend", help="per-workload sparkline trajectories over "
+                      "BENCH_history.jsonl")
+    q.add_argument("--history", default=changepoint.DEFAULT_HISTORY,
+                   metavar="FILE")
+    q.add_argument("--metric", default=changepoint.DEFAULT_METRIC,
+                   help="which per-workload number to plot "
+                        f"(default: {changepoint.DEFAULT_METRIC})")
+    q.add_argument("--last", type=int, default=None, metavar="N",
+                   help="only the most recent N runs")
+    q.add_argument("--changepoints", action="store_true",
+                   help="run the e-divisive-style step detector over "
+                        "every (workload, metric) series and annotate "
+                        "detected level shifts with the nearest git "
+                        "rev")
+    q.add_argument("--json", action="store_true",
+                   help="emit a machine-readable JSON document "
+                        "instead of text")
     q.set_defaults(fn=cmd_perf)
 
     p = sub.add_parser("graph",

@@ -17,11 +17,14 @@ Three concerns, one package:
 * :mod:`repro.obs.profile` — deterministic work-counter profiler
   (scoped regions + ``sys.setprofile`` sampling fallback, ranked
   hotspot tables, ``--profile``);
-* :mod:`repro.obs.regress` — the bench regression watchdog
-  (``python -m repro.obs.regress``);
+* :mod:`repro.obs.perfdiff` / :mod:`repro.obs.changepoint` — perf
+  forensics over the ``perfbench/`` benchmark: ranked work
+  attribution between two saved runs (``repro perf diff``) and the
+  ``BENCH_history.jsonl`` trajectory with step detection (``repro
+  perf trend``);
 * :mod:`repro.obs.report_html` — the ``repro report`` self-contained
   HTML artifact (trace + metrics + hotspots + coverage + lint +
-  bench trajectory + run ledger);
+  perf trajectory + run ledger);
 * :mod:`repro.obs.ledger` — the persistent run ledger: one schema-
   versioned manifest (argv, seed, git rev, outcome, classification
   summary, content-addressed artifacts, crash bundle) per CLI
@@ -30,9 +33,8 @@ Three concerns, one package:
 * :mod:`repro.obs.rundiff` — cross-run drift diffing over ledger
   manifests (``repro runs diff``).
 
-:mod:`repro.obs.export` serializes analysis/model-checking results (and
-the ``BENCH_*.json`` benchmark records) against small self-validated
-JSON schemas; :mod:`repro.obs.config` reads the ``REPRO_TRACE`` /
+:mod:`repro.obs.export` serializes analysis/model-checking results
+against small self-validated JSON schemas; :mod:`repro.obs.config` reads the ``REPRO_TRACE`` /
 ``REPRO_METRICS`` / ``REPRO_LEDGER`` environment switches.
 
 ``export`` is imported lazily (it reaches back into

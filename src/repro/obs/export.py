@@ -3,13 +3,8 @@
 Schemas are expressed in a small JSON-Schema subset (``type``,
 ``required``, ``properties``, ``items``, ``enum``; ``type`` may be a
 list to express nullability) and checked by :func:`validate` — a
-zero-dependency stand-in for ``jsonschema`` so the benchmark smoke job
-and tests can assert well-formedness without installing anything.
-
-Benchmark records follow the fixed schema
-``{name, wall_s, states, transitions, states_per_s}`` (analysis
-records report 0 states/transitions), written by :func:`write_bench`
-as ``BENCH_analysis.json`` / ``BENCH_mc.json``.
+zero-dependency stand-in for ``jsonschema`` so CI and tests can
+assert well-formedness without installing anything.
 
 The analysis serializer reaches back into :mod:`repro.analysis.report`
 and is imported lazily to keep ``repro.obs`` free of import cycles.
@@ -17,16 +12,11 @@ and is imported lazily to keep ``repro.obs`` free of import cycles.
 
 from __future__ import annotations
 
-import json
-import pathlib
-from typing import Optional, Union
-
-from repro.obs import schemas
+from typing import Optional
 
 #: throughput rates computed over windows at or below this are
 #: noise-dominated (timer resolution + interpreter jitter swamp the
-#: signal on sub-millisecond runs) and are reported as 0.0 so the
-#: regression watchdog never compares them against real baselines
+#: signal on sub-millisecond runs) and are reported as 0.0
 MIN_RATE_WINDOW_S = 0.001
 
 _TYPES = {
@@ -360,96 +350,6 @@ CEX_SCHEMA = {
     },
 }
 
-#: bare v1 bench record arrays carry no stamp and remain accepted
-#: everywhere alongside v2 wrapped files
-BENCH_SCHEMA_VERSION = schemas.BENCH
-
-BENCH_RECORD_SCHEMA = {
-    "type": "object",
-    "required": ["name", "wall_s", "states", "transitions",
-                 "states_per_s"],
-    "properties": {
-        "name": {"type": "string"},
-        "wall_s": {"type": "number"},
-        "states": {"type": "integer"},
-        "transitions": {"type": "integer"},
-        "states_per_s": {"type": "number"},
-        # percentile estimates come from the log-bucketed Histogram
-        # sketch: each is the *upper bound* of the bucket holding the
-        # rank sample (clamped to the observed range), so they can
-        # overstate the true quantile by up to ~19% but never more.
-        "percentiles": {
-            "type": "object",
-            "required": ["p50", "p95", "p99"],
-            "properties": {
-                "p50": {"type": "number"},
-                "p95": {"type": "number"},
-                "p99": {"type": "number"},
-            },
-        },
-        # peak RSS of the process at record time (MB; 0 when the
-        # platform offers no resource.getrusage)
-        "mem_peak_mb": {"type": "number"},
-        # canonical-hash dedup hit rate of the exploration (hits over
-        # lookups; 0 for analysis records)
-        "dedup_hit_rate": {"type": "number"},
-        # deterministic profiler counters ({region: {calls, work}})
-        # from the harness's dedicated profiled pass — the substrate
-        # repro perf diff attributes regressions with
-        "counters": {"type": "object"},
-        # repeat statistics from the statistical bench harness
-        # (repro bench run): when present, wall_s IS the median and
-        # the regression watchdog gates on it with iqr as the noise
-        # band instead of single-sample thresholds
-        "stats": {
-            "type": "object",
-            "required": ["repeats", "min", "median", "iqr"],
-            "properties": {
-                "repeats": {"type": "integer"},
-                "min": {"type": "number"},
-                "max": {"type": "number"},
-                "mean": {"type": "number"},
-                "median": {"type": "number"},
-                "iqr": {"type": "number"},
-            },
-        },
-    },
-}
-
-BENCH_FILE_SCHEMA = {"type": "array", "items": BENCH_RECORD_SCHEMA}
-
-#: environment fingerprint stamped into v2 bench files and every
-#: BENCH_history.jsonl line, so perf numbers are never compared
-#: across machines/interpreters without noticing
-BENCH_ENV_SCHEMA = {
-    "type": "object",
-    "required": ["python", "platform", "cpu_count"],
-    "properties": {
-        "git_rev": {"type": ["string", "null"]},
-        "python": {"type": "string"},
-        "platform": {"type": "string"},
-        "cpu_count": {"type": ["integer", "null"]},
-    },
-}
-
-#: v2 bench file: the record array wrapped with provenance — schema
-#: version, environment fingerprint, and the repeat policy that
-#: produced the medians.  v1 bare arrays remain readable everywhere
-#: (:func:`bench_records` / :func:`validate_bench_file` accept both).
-BENCH_RUN_SCHEMA = {
-    "type": "object",
-    "required": ["v", "env", "records"],
-    "properties": {
-        "v": {"type": "integer"},
-        "at": {"type": "number"},
-        "env": BENCH_ENV_SCHEMA,
-        "repeats": {"type": "integer"},
-        "warmup": {"type": "integer"},
-        "records": BENCH_FILE_SCHEMA,
-    },
-}
-
-
 #: one ranked row of a differential-profiling attribution table
 PERFDIFF_ROW_SCHEMA = {
     "type": "object",
@@ -468,8 +368,8 @@ PERFDIFF_ROW_SCHEMA = {
     },
 }
 
-#: ``repro perf diff --json`` / ``PERFDIFF_attribution.json``: the
-#: attributed regression document (:mod:`repro.obs.perfdiff`)
+#: ``repro perf diff --json`` / ``--out``: the attributed regression
+#: document (:mod:`repro.obs.perfdiff`)
 PERFDIFF_SCHEMA = {
     "type": "object",
     "required": ["v", "kind", "a", "b", "threshold", "drift", "rows"],
@@ -590,108 +490,3 @@ def analysis_to_dict(result, include_provenance: bool = True) -> dict:
         out["profile"] = dict(profile)
     out["run_meta"] = run_meta()
     return out
-
-
-# -- benchmark records ---------------------------------------------------------
-
-def bench_record(name: str, wall_s: float, states: int = 0,
-                 transitions: int = 0,
-                 percentiles: Optional[dict] = None,
-                 mem_peak_mb: Optional[float] = None,
-                 dedup_hit_rate: Optional[float] = None,
-                 stats: Optional[dict] = None) -> dict:
-    """One ``BENCH_*.json`` entry; ``states_per_s`` is 0 for records
-    with no state count (pure analysis timings) and for runs shorter
-    than :data:`MIN_RATE_WINDOW_S` (sub-millisecond rates are timer
-    noise, not throughput).  ``percentiles`` is an optional
-    ``{p50, p95, p99}`` dict of per-round wall times (from
-    :meth:`repro.obs.metrics.Histogram.to_dict`; the estimates are
-    bucket *upper bounds*, see that class) so the regression watchdog
-    can gate tail latency, not just the headline number.
-    ``mem_peak_mb`` / ``dedup_hit_rate`` carry the explorer's resource
-    accounting into the perf trajectory."""
-    out = {
-        "name": name,
-        "wall_s": round(float(wall_s), 6),
-        "states": int(states),
-        "transitions": int(transitions),
-        "states_per_s": round(states / wall_s, 3)
-        if wall_s > MIN_RATE_WINDOW_S and states else 0.0,
-    }
-    if percentiles is not None:
-        out["percentiles"] = {k: round(float(percentiles[k]), 6)
-                              for k in ("p50", "p95", "p99")}
-    if mem_peak_mb is not None:
-        out["mem_peak_mb"] = round(float(mem_peak_mb), 3)
-    if dedup_hit_rate is not None:
-        out["dedup_hit_rate"] = round(float(dedup_hit_rate), 6)
-    if stats is not None:
-        out["stats"] = {k: (int(v) if k == "repeats"
-                            else round(float(v), 6))
-                        for k, v in stats.items()}
-    return out
-
-
-def bench_records(doc) -> list[dict]:
-    """The record array of a loaded bench document — a v1 bare array
-    or a v2 ``{v, env, records}`` wrapper (already validated or
-    trusted)."""
-    if isinstance(doc, dict):
-        return list(doc.get("records", []))
-    return list(doc)
-
-
-def write_bench(path: Union[str, pathlib.Path],
-                doc) -> pathlib.Path:
-    """Validate and write a benchmark file — a v1 record array or a v2
-    ``{v, env, records}`` run document.  When a ledger run is active
-    the records are also attached to it as a content-addressed
-    artifact plus a ``bench`` note, so ``runs diff`` can render bench
-    deltas."""
-    schema = BENCH_RUN_SCHEMA if isinstance(doc, dict) \
-        else BENCH_FILE_SCHEMA
-    errors = validate(doc, schema)
-    if errors:
-        raise ValueError("invalid bench records: " + "; ".join(errors))
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    from repro.obs import ledger
-    if ledger.current() is not None:
-        ledger.add_artifact(path.name, doc)
-        ledger.note("bench", {"records": bench_records(doc)})
-    return path
-
-
-def validate_bench_file(path: Union[str, pathlib.Path]) -> list[dict]:
-    """Load + validate a ``BENCH_*.json`` file (v1 array or v2 run
-    document), returning its records.  Raises ``ValueError`` on schema
-    violations."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    schema = BENCH_RUN_SCHEMA if isinstance(doc, dict) \
-        else BENCH_FILE_SCHEMA
-    errors = validate(doc, schema)
-    if errors:
-        raise ValueError(f"{path}: " + "; ".join(errors))
-    return bench_records(doc)
-
-
-def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover
-    """``python -m repro.obs.export FILE...`` — validate bench files."""
-    import sys
-
-    argv = sys.argv[1:] if argv is None else argv
-    status = 0
-    for name in argv:
-        try:
-            records = validate_bench_file(name)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"FAIL {name}: {exc}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"ok {name}: {len(records)} record(s)")
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -1,40 +1,40 @@
 """Differential profiling: attributed perf-regression forensics.
 
-The regress watchdog says *that* ``wall_s``/``states_per_s`` drifted;
-this module says *where the work went*.  It diffs two profile sides —
-deterministic work counters per region (``analysis.*``, ``mc.*``,
-``theorem.*``, ``lint.*``, ``summary.*``) plus the collapsed-stack
-wall attribution — and emits a ranked attribution table::
+A benchmark says *that* a workload got slower; this module says
+*where the work went*.  It diffs two profile sides — deterministic
+work counters per region (``mc.*``, ``interp.*``, ``analysis.*``,
+``theorem.*``, ``lint.*``, ``summary.*``) plus the per-region wall
+column and collapsed-stack wall attribution — and emits a ranked
+attribution table::
 
-    mc.successors   explorer   12000 -> 17000  +41.7%  DRIFT
-    mc.canonicalize explorer    8000 ->  8000   +0.0%
-    mc.dedup        explorer    5200 ->  5044   -3.0%
+    mc.canonical.state_key  explorer     12000 -> 17000  +41.7%  DRIFT
+    interp.Interp.step      interpreter   8000 ->  8000   +0.0%
 
 A *side* resolves from any profile-bearing artifact
 (:func:`resolve_side`):
 
+* a saved ``perfbench/run.py --trace 1`` output (readable lines, then
+  the JSON result line) — every metric with unit ``count`` becomes a
+  counter (``calls`` = value; ``<layer>.calls`` counts ``<layer>``)
+  and every ``<layer>.self_s`` that layer's wall column;
 * a ledgered run (id / unique prefix / ``last`` / ``-N``, exactly like
   ``repro runs diff``) — counters come from its recorded
-  ``analysis.json`` / ``mc.json`` profile blocks, ``BENCH_*`` bench
-  artifacts, or the crash bundle's ``profile_counters``;
-* a ``BENCH_*.json`` file or a directory of them (``repro bench run``
-  records carry a ``counters`` block from a dedicated profiled pass);
+  ``analysis.json`` / ``mc.json`` profile blocks or the crash bundle's
+  ``profile_counters``;
 * an analysis/MC ``--json`` document (embedded ``profile``), a bare
   profile document, or a ``--profile-out`` collapsed-stack file.
 
 Drift gating is deliberately counter-based: work counters are
 deterministic (two identical seeded runs produce identical counters,
 so ``repro perf diff`` between them is empty by construction — the CI
-forensics canary), which means any growth past the watchdog-style
-relative threshold is real algorithmic work, not scheduler jitter.
-Wall times and folded-path deltas ride along as informational columns.
+forensics canary), which means any growth past the relative threshold
+is real algorithmic work, not scheduler jitter.  Wall times and
+folded-path deltas ride along as informational columns.
 
 ``repro perf diff A B`` exits 0 (no attributed drift), 1 (drift), 2
 (usage error); ``--json`` emits the schema-versioned document
 (:data:`repro.obs.export.PERFDIFF_SCHEMA`, version
-``schemas.PERFDIFF``).  When the regress watchdog fails a gate it
-auto-writes the same document as ``PERFDIFF_attribution.json`` next to
-the fresh bench files — see :mod:`repro.obs.regress`.
+``schemas.PERFDIFF``).
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from typing import Optional, Union
 from repro.obs.schemas import PERFDIFF as SCHEMA_VERSION
 
 #: relative attributed-work growth a region must exceed to gate —
-#: mirrors the watchdog's wall_s threshold so "attributed drift"
-#: and "observed drift" mean the same magnitude
+#: the benchmark's wall-time bound, so "attributed drift" and
+#: "observed drift" mean the same magnitude
 DEFAULT_THRESHOLD = 0.25
 
 #: absolute work-unit delta a drifting region must also clear (a
@@ -60,6 +60,7 @@ PATH_LIMIT = 20
 #: region-name prefix -> attribution group
 _GROUPS = (
     ("mc.", "explorer"),
+    ("interp.", "interpreter"),
     ("theorem.", "theorem"),
     ("lint.", "lint-rule"),
     ("analysis.", "analysis-pass"),
@@ -108,19 +109,27 @@ def side_from_profile_doc(label: str, doc: dict,
     return _merge_side(side, counters, wall, doc.get("folded"))
 
 
-def side_from_records(label: str, records: list,
-                      side: Optional[dict] = None) -> dict:
-    """A side from bench records: sum the ``counters`` blocks the
-    harness collects in its dedicated profiled pass; record medians
-    join the wall column under the record name."""
+def side_from_perfbench(label: str, doc: dict,
+                        side: Optional[dict] = None) -> dict:
+    """A side from a perfbench result (``{correct, attempted, failed,
+    metrics: {name: {value, unit}}}``): each ``count`` metric is a
+    counter (a ``.calls`` suffix names its layer), each
+    ``<layer>.self_s`` that layer's wall column.  Raises
+    ``ValueError`` for an untraced run, which carries no counts."""
     side = side if side is not None else _empty_side(label)
-    for record in records:
-        _merge_side(side, record.get("counters"))
-        if record.get("name"):
-            side["wall"][record["name"]] = \
-                side["wall"].get(record["name"], 0.0) \
-                + float(record.get("wall_s", 0.0))
-    return side
+    counters = {}
+    for name, entry in doc["metrics"].items():
+        value = entry.get("value", 0)
+        if entry.get("unit") == "count":
+            counters[name.removesuffix(".calls")] = {
+                "calls": round(value)}
+        elif name.endswith(".self_s"):
+            side["wall"][name.removesuffix(".self_s")] = float(value)
+    if not counters:
+        raise ValueError(
+            f"{label} has no count metrics (an untraced perfbench "
+            f"run): re-run perfbench/run.py with --trace 1")
+    return _merge_side(side, counters)
 
 
 def side_from_folded(label: str, folded_usecs: dict,
@@ -142,13 +151,11 @@ def side_from_folded(label: str, folded_usecs: dict,
 def _side_from_json_doc(label: str, doc, side: dict) -> bool:
     """Merge whatever profile data a JSON document carries; returns
     whether anything was found."""
-    from repro.obs.export import bench_records
-
-    if isinstance(doc, list):        # v1 bare bench record array
-        side_from_records(label, doc, side)
-        return bool(doc)
     if not isinstance(doc, dict):
         return False
+    if "attempted" in doc and isinstance(doc.get("metrics"), dict):
+        side_from_perfbench(label, doc, side)    # perfbench result
+        return True
     if "hotspots" in doc:            # bare profile document
         side_from_profile_doc(label, doc, side)
         return True
@@ -159,9 +166,6 @@ def _side_from_json_doc(label: str, doc, side: dict) -> bool:
     if isinstance(doc.get("profile_counters"), dict):  # crash bundle
         _merge_side(side, doc["profile_counters"])
         found = True
-    if isinstance(doc.get("records"), list):   # v2 bench document
-        side_from_records(label, bench_records(doc), side)
-        found = True
     return found
 
 
@@ -170,33 +174,23 @@ def _side_from_file(path: pathlib.Path) -> dict:
 
     side = _empty_side(str(path))
     text = path.read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        folded = parse_folded_lines(text.splitlines())
-        if not folded:
-            raise ValueError(
-                f"{path} is neither JSON nor collapsed-stack format")
-        return side_from_folded(str(path), folded, side)
-    if not _side_from_json_doc(str(path), doc, side):
-        raise ValueError(f"{path} carries no profile data (expected "
-                         f"a profile/analysis/mc/bench document)")
-    return side
-
-
-def _side_from_dir(path: pathlib.Path) -> dict:
-    side = _empty_side(str(path))
-    found = False
-    for child in sorted(path.glob("BENCH_*.json")):
+    lines = text.strip().splitlines()
+    # a JSON document, or a saved perfbench output (JSON last line)
+    for candidate in (text, lines[-1] if lines else ""):
         try:
-            doc = json.loads(child.read_text())
-        except (OSError, json.JSONDecodeError):
+            doc = json.loads(candidate)
+        except json.JSONDecodeError:
             continue
-        found = _side_from_json_doc(str(child), doc, side) or found
-    if not found:
-        raise ValueError(f"no profile-bearing BENCH_*.json under "
-                         f"{path} (re-run repro bench run)")
-    return side
+        if not _side_from_json_doc(str(path), doc, side):
+            raise ValueError(
+                f"{path} carries no profile data (expected a perfbench "
+                f"output or a profile/analysis/mc document)")
+        return side
+    folded = parse_folded_lines(lines)
+    if not folded:
+        raise ValueError(
+            f"{path} is neither JSON nor collapsed-stack format")
+    return side_from_folded(str(path), folded, side)
 
 
 def _side_from_ledger(token: str,
@@ -217,21 +211,22 @@ def _side_from_ledger(token: str,
     if not found:
         raise ValueError(
             f"run {run_id} recorded no profile data — re-run with "
-            f"--profile (analysis/mc) or use repro bench run artifacts")
+            f"--profile (analysis/mc)")
     return side
 
 
 def resolve_side(spec: str,
                  root: Union[None, str, pathlib.Path] = None) -> dict:
-    """Resolve one ``perf diff`` operand: an artifact file, a
-    directory of ``BENCH_*.json``, or a ledger run token
+    """Resolve one ``perf diff`` operand: an artifact file (a saved
+    perfbench output among them) or a ledger run token
     (id/prefix/``last``/``-N``).  Raises ``ValueError`` with a usage
     message when nothing profile-bearing resolves."""
     path = pathlib.Path(spec)
     if path.is_file():
         return _side_from_file(path)
     if path.is_dir():
-        return _side_from_dir(path)
+        raise ValueError(f"{path} is a directory: pass a saved "
+                         f"perfbench --trace 1 output file")
     return _side_from_ledger(spec, root)
 
 
@@ -243,7 +238,7 @@ def attribute(a: dict, b: dict,
     ``b`` newer) into the schema-versioned attribution document.
     ``drift`` is True when any region's deterministic work grew past
     ``threshold`` (and :data:`WORK_FLOOR` absolute units) — shrinking
-    work is a speedup and never gates, mirroring the watchdog."""
+    work is a speedup and never gates."""
     rows: list[dict] = []
     names = set(a["counters"]) | set(b["counters"])
     for name in names:

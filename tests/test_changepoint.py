@@ -1,13 +1,20 @@
-"""Step detection over the perf trajectory: an injected level shift
-must be flagged at the right entry, while IQR-level jitter, flat
-(deterministic-counter) series, and short series stay silent — the
-detector's whole value is a zero false-positive rate on noise."""
+"""The perf trajectory: loading ``BENCH_history.jsonl``, the sparkline
+trend view with its unit labels, and step detection — an injected
+level shift must be flagged at the right entry, while IQR-level
+jitter, flat (deterministic-counter) series, and short series stay
+silent; the detector's whole value is a zero false-positive rate on
+noise."""
 
 from __future__ import annotations
 
-from repro.obs.changepoint import (MIN_SEG, detect_history,
-                                   detect_steps, render_steps,
-                                   robust_scale)
+import json
+
+from repro.obs.changepoint import (DEFAULT_METRIC, MIN_SEG,
+                                   detect_history, detect_steps,
+                                   load_history, median, metric_unit,
+                                   render_steps, render_trend,
+                                   robust_scale, sparkline,
+                                   trend_series)
 
 #: a realistic jittery level around 10ms (diffs have nonzero MAD)
 _BASE = [0.0100, 0.0103, 0.0099, 0.0102, 0.0101, 0.0098]
@@ -72,20 +79,18 @@ def test_robust_scale_ignores_a_single_step():
 
 # -- detect_history ----------------------------------------------------------------
 
-def _history(walls, iqr=0.0003, name="mc/case/por"):
-    return [{"at": float(i + 1), "repeats": 5,
-             "env": {"git_rev": f"{i:x}" * 16, "python": "3.11",
-                     "platform": "linux", "cpu_count": 1},
-             "metrics": {name: {"wall_s": w,
-                                "states_per_s": 64 / w,
+def _history(walls, iqr=0.0003, name="gh-noopt"):
+    return [{"at": float(i + 1), "env": {"git_rev": f"{i:x}" * 16},
+             "metrics": {name: {"norm_wall_s": w,
+                                "norm_throughput_per_s": 64 / w,
                                 "iqr": iqr}}}
             for i, w in enumerate(walls)]
 
 
 def test_history_step_annotated_with_git_rev():
     (step,) = detect_history(_history(_BASE + _UP))
-    assert step["name"] == "mc/case/por"
-    assert step["metric"] == "wall_s"
+    assert step["name"] == "gh-noopt"
+    assert step["metric"] == "norm_wall_s"
     assert step["entry"] == len(_BASE)
     assert step["at"] == float(len(_BASE) + 1)
     # the rev of the entry where the new regime starts
@@ -103,15 +108,15 @@ def test_history_missing_metric_entries_are_skipped():
     history = _history(_BASE + _UP)
     history.insert(3, {"at": 3.5, "env": {}, "metrics": {}})
     (step,) = detect_history(history)
-    assert step["name"] == "mc/case/por"
+    assert step["name"] == "gh-noopt"
 
 
 # -- render_steps ------------------------------------------------------------------
 
 def test_render_steps_names_case_entry_and_rev():
     steps = detect_history(_history(_BASE + _UP))
-    text = render_steps(steps, "wall_s")
-    assert "[STEP] mc/case/por wall_s:" in text
+    text = render_steps(steps, "norm_wall_s")
+    assert "[STEP] gh-noopt norm_wall_s:" in text
     assert f"at entry {len(_BASE)}" in text
     assert "git 666666666666" in text
 
@@ -119,3 +124,71 @@ def test_render_steps_names_case_entry_and_rev():
 def test_render_steps_empty_is_a_quiet_one_liner():
     assert render_steps([], "wall_s") == \
         "no changepoints detected (wall_s)"
+
+
+# -- the trajectory: loading, series, trend view -----------------------------------
+
+def test_median_small_n():
+    assert median([]) == 0.0
+    assert median([3.0]) == 3.0
+    assert median([1.0, 3.0]) == 2.0          # mean of middle two
+    assert median([1.0, 100.0, 2.0]) == 2.0   # order-insensitive
+    assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
+
+
+def test_history_round_trip(tmp_path):
+    path = tmp_path / "BENCH_history.jsonl"
+    assert load_history(path) == []
+    lines = [json.dumps(e) for e in _history([3.3, 1.5])]
+    path.write_text("\n".join(lines + ["not json",
+                                       '{"no": "metrics"}']) + "\n")
+    entries = load_history(path)                # garbage filtered
+    assert len(entries) == 2
+    assert entries[0]["metrics"]["gh-noopt"]["norm_wall_s"] == 3.3
+
+
+def test_trend_series_and_render():
+    history = _history([3.0, 2.25, 1.5])
+    series = trend_series(history)              # default metric
+    assert [v for _, v in series["gh-noopt"]] == [3.0, 2.25, 1.5]
+    text = render_trend(history)
+    assert "gh-noopt" in text and "-50.0%" in text
+    assert "3 run(s)" in text
+    assert render_trend(history, last=2).count("run(s)") == 1
+    assert "no trajectory yet" in render_trend([])
+
+
+def test_sparkline_shapes():
+    assert sparkline([]) == ""
+    assert sparkline([1.0, 1.0]) == "▁▁"       # flat series
+    line = sparkline([0.0, 0.5, 1.0])
+    assert line[0] == "▁" and line[-1] == "█"
+
+
+def test_trend_single_sample_renders_explicit_note():
+    text = render_trend(_history([3.3]))
+    assert "1 run(s)" in text
+    assert "1 sample" in text
+    assert "gh-noopt" in text             # workload still listed
+    assert "%" not in text                # no bogus delta from 1 point
+    # and the note disappears as soon as a second run exists
+    assert "1 sample" not in render_trend(_history([3.3, 1.5]))
+
+
+def test_trend_units_follow_the_metric_suffix():
+    assert metric_unit("norm_throughput_per_s") == "1/s"
+    assert metric_unit("norm_wall_s") == "s"
+    assert metric_unit("setup_s") == "s"
+    assert metric_unit("peak_rss_mb") == "MB"
+    history = [{"at": 1.0, "env": {},
+                "metrics": {"gh-atomic": {"norm_wall_s": 2.045,
+                                          "peak_rss_mb": 44.65,
+                                          "norm_throughput_per_s":
+                                              1507.8}}}]
+    assert "2.045 s -> 2.045 s" in render_trend(history)
+    assert "44.65 MB -> 44.65 MB" in render_trend(
+        history, metric="peak_rss_mb")
+    assert "1508 1/s" in render_trend(
+        history, metric="norm_throughput_per_s")
+    assert "/s" not in render_trend(history, metric="peak_rss_mb")
+    assert DEFAULT_METRIC == "norm_wall_s"

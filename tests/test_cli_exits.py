@@ -171,43 +171,6 @@ def test_experiments_unknown_name_exits_2(ledger_root, capsys):
     _assert_recorded(ledger_root, 2, "error")
 
 
-# -- bench: 0 ok / 1 drift / 2 usage -----------------------------------------------
-
-def test_bench_run_records_ledger_ok(ledger_root, tmp_path, capsys):
-    code = main(["bench", "run", "--quick",
-                 "--out", str(tmp_path / "out")])
-    assert code == 0
-    manifest = _assert_recorded(ledger_root, 0, "ok")
-    names = {a["name"] for a in manifest["artifacts"]}
-    assert {"BENCH_analysis.json", "BENCH_mc.json"} <= names
-
-
-def test_bench_compare_drift_exits_1(ledger_root, tmp_path, capsys):
-    from repro.obs.export import bench_record, write_bench
-
-    def side(wall):
-        record = bench_record("mc/x", wall, states=10, transitions=20,
-                              stats={"repeats": 3, "min": wall,
-                                     "max": wall, "mean": wall,
-                                     "median": wall, "iqr": 0.0})
-        return [record]
-
-    a, b = tmp_path / "a", tmp_path / "b"
-    write_bench(a / "BENCH_mc.json", side(0.1))
-    write_bench(b / "BENCH_mc.json", side(0.2))
-    code = main(["bench", "compare", str(a), str(b)])
-    assert code == 1
-    _assert_recorded(ledger_root, 1, "drift")
-
-
-def test_bench_compare_usage_error_exits_2(ledger_root, tmp_path,
-                                           capsys):
-    code = main(["bench", "compare", str(tmp_path / "missing"),
-                 str(tmp_path / "missing2")])
-    assert code == 2
-    _assert_recorded(ledger_root, 2, "error")
-
-
 # -- machine-clean stdout: progress stays on stderr --------------------------------
 
 def test_mc_json_stdout_stays_parseable_with_progress(
@@ -224,47 +187,38 @@ def test_mc_json_stdout_stays_parseable_with_progress(
     assert "heatmap" in doc
 
 
-def test_bench_quick_json_stdout_stays_parseable(
-        ledger_root, tmp_path, capsys, monkeypatch):
-    import json
-
-    monkeypatch.setenv("REPRO_LEDGER", "0")
-    code = main(["bench", "run", "--quick", "--json",
-                 "--out", str(tmp_path / "out")])
-    assert code == 0
-    captured = capsys.readouterr()
-    doc = json.loads(captured.out)       # heartbeats went to stderr
-    assert doc["files"] and doc["entry"]["metrics"]
-    assert "[bench]" not in captured.out
-
-
 # -- perf diff: 0 identical / 1 attributed drift / 2 bad operand -------------------
 
-def _bench_side(tmp_path, name, work):
-    from repro.obs.export import bench_record, write_bench
+def _perfbench_side(tmp_path, name, calls):
+    import json
 
-    rec = bench_record("mc/x", 0.1, states=10, transitions=20)
-    rec["counters"] = {"mc.successors": {"calls": 0, "work": work}}
-    write_bench(tmp_path / name / "BENCH_mc.json", [rec])
-    return str(tmp_path / name)
+    metrics = {"mc.canonical.state_key.calls":
+               {"value": calls, "unit": "count"},
+               "mc.canonical.state_key.self_s":
+               {"value": 0.1, "unit": "s"}}
+    path = tmp_path / f"{name}.txt"
+    path.write_text("workload gh-atomic, seed 1, trace 1\n" + json.dumps(
+        {"correct": True, "attempted": 2, "failed": 0,
+         "metrics": metrics}) + "\n")
+    return str(path)
 
 
 def test_perf_diff_identical_exits_0(ledger_root, tmp_path, capsys):
-    a = _bench_side(tmp_path, "a", 1000)
-    b = _bench_side(tmp_path, "b", 1000)
+    a = _perfbench_side(tmp_path, "a", 1000)
+    b = _perfbench_side(tmp_path, "b", 1000)
     assert main(["perf", "diff", a, b]) == 0
     assert "no attributed drift" in capsys.readouterr().out
 
 
 def test_perf_diff_drift_exits_1(ledger_root, tmp_path, capsys):
-    a = _bench_side(tmp_path, "a", 1000)
-    b = _bench_side(tmp_path, "b", 1600)
+    a = _perfbench_side(tmp_path, "a", 1000)
+    b = _perfbench_side(tmp_path, "b", 1600)
     assert main(["perf", "diff", a, b]) == 1
     assert "DRIFT" in capsys.readouterr().out
 
 
 def test_perf_diff_bad_operand_exits_2(ledger_root, tmp_path, capsys):
-    a = _bench_side(tmp_path, "a", 1000)
+    a = _perfbench_side(tmp_path, "a", 1000)
     code = main(["perf", "diff", a, str(tmp_path / "missing")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
@@ -274,39 +228,45 @@ def test_perf_diff_out_written_even_on_drift(ledger_root, tmp_path,
                                              capsys):
     import json
 
-    a = _bench_side(tmp_path, "a", 1000)
-    b = _bench_side(tmp_path, "b", 1600)
+    a = _perfbench_side(tmp_path, "a", 1000)
+    b = _perfbench_side(tmp_path, "b", 1600)
     out = tmp_path / "deep" / "attribution.json"
     assert main(["perf", "diff", a, b, "--json",
                  "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
-    assert doc["drifted"] == ["mc.successors"]
+    assert doc["drifted"] == ["mc.canonical.state_key"]
     # stdout stays machine-parseable JSON too
     assert json.loads(capsys.readouterr().out)["drift"] is True
 
 
 def test_perf_diff_is_not_ledgered(ledger_root, tmp_path, capsys):
     # query commands (runs/graph/perf) must not pollute the ledger
-    a = _bench_side(tmp_path, "a", 1000)
+    a = _perfbench_side(tmp_path, "a", 1000)
     assert main(["perf", "diff", a, a]) == 0
     assert ledger.list_runs(ledger_root) == []
 
 
-def test_bench_trend_changepoints_stays_informational(
+def test_perf_trend_changepoints_stays_informational(
         ledger_root, tmp_path, capsys):
     import json
 
-    walls = [0.0100, 0.0103, 0.0099, 0.0102,
-             0.0150, 0.0153, 0.0149, 0.0152]
+    walls = [3.270, 3.303, 3.259, 3.292, 4.850, 4.903, 4.839, 4.882]
     history = tmp_path / "BENCH_history.jsonl"
     history.write_text("\n".join(json.dumps(
-        {"at": float(i + 1),
-         "env": {"git_rev": "abc", "python": "3", "platform": "x",
-                 "cpu_count": 1},
-         "metrics": {"mc/x": {"wall_s": w, "iqr": 0.0003}}})
+        {"at": float(i + 1), "env": {"git_rev": "abc"},
+         "metrics": {"gh-noopt": {"norm_wall_s": w}}})
         for i, w in enumerate(walls)) + "\n")
     # a detected step is reported but never gates: exit stays 0
-    code = main(["bench", "trend", "--history", str(history),
+    code = main(["perf", "trend", "--history", str(history),
                  "--changepoints"])
     assert code == 0
-    assert "[STEP] mc/x wall_s:" in capsys.readouterr().out
+    assert "[STEP] gh-noopt norm_wall_s:" in capsys.readouterr().out
+    assert ledger.list_runs(ledger_root) == []      # a query command
+
+
+def test_retired_bench_command_is_a_usage_error(ledger_root, capsys):
+    # perfbench/ is the one benchmark: the bench command is retired
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "run"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

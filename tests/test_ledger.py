@@ -258,7 +258,7 @@ def test_gc_keeps_most_recent(ledger_root, aba_file, capsys):
     assert after == before[-2:]
 
 
-# -- export + regress integration --------------------------------------------------
+# -- export integration -----------------------------------------------------------
 
 def test_run_meta_carries_run_id_inside_recorded_run(ledger_root):
     from repro.obs.export import run_meta
@@ -276,53 +276,3 @@ def test_run_meta_carries_run_id_inside_recorded_run(ledger_root):
     # outside a recorded run the hook degrades gracefully
     meta = run_meta()
     assert meta["run_id"] is None
-
-
-def test_write_bench_attaches_artifact_and_note(ledger_root, tmp_path):
-    from repro.obs.export import bench_record, write_bench
-
-    records = [bench_record("mc/x/full", 0.25, states=100,
-                            transitions=150)]
-    rec = ledger.start(["mc", "x.synl"], "mc")
-    try:
-        write_bench(tmp_path / "BENCH_mc.json", records)
-        manifest = rec.finish(0)
-    finally:
-        ledger.stop(rec)
-    assert manifest["bench"]["records"][0]["name"] == "mc/x/full"
-    assert any(a["name"] == "BENCH_mc.json"
-               for a in manifest["artifacts"])
-
-
-def test_regress_ledger_baselines_and_history_mirror(
-        ledger_root, tmp_path):
-    from repro.obs import regress
-    from repro.obs.export import bench_record, write_bench
-
-    out_dir = tmp_path / "out"
-    # record a ledgered run carrying the baseline bench artifact
-    rec = ledger.start(["mc", "x.synl"], "mc")
-    try:
-        write_bench(out_dir / "BENCH_mc.json",
-                    [bench_record("mc/x/full", 0.10, states=100,
-                                  transitions=150)])
-        rec.finish(0)
-    finally:
-        ledger.stop(rec)
-    baselines = regress.baselines_from_ledger()
-    assert "BENCH_mc.json" in baselines
-    # a 3x slower fresh file regresses against the ledgered baseline
-    write_bench(out_dir / "BENCH_mc.json",
-                [bench_record("mc/x/full", 0.30, states=100,
-                              transitions=150)])
-    code = regress.main(["--check", str(out_dir),
-                         "--baselines", "ledger", "--history", "-"])
-    assert code == 1
-    # the history line is mirrored next to the recorded runs
-    code = regress.main(["--check", str(out_dir),
-                         "--baselines", "ledger"])
-    assert code == 1
-    mirrored = ledger_root / regress.DEFAULT_HISTORY
-    assert mirrored.is_file()
-    entry = json.loads(mirrored.read_text().splitlines()[-1])
-    assert entry["status"] == "regression"

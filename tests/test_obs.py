@@ -17,10 +17,9 @@ from repro.interp import Interp, ThreadSpec
 from repro.mc import Explorer
 from repro.obs import (Counter, Histogram, MetricsRegistry, ObsConfig,
                        Tracer)
-from repro.obs.export import (ANALYSIS_SCHEMA, BENCH_FILE_SCHEMA,
-                              MC_SCHEMA, analysis_to_dict, bench_record,
-                              mc_to_dict, validate, validate_bench_file)
-from repro.experiments.common import BenchCollector
+from repro.obs.export import (ANALYSIS_SCHEMA, MC_SCHEMA,
+                              analysis_to_dict, mc_to_dict, validate)
+from repro.obs.metrics import EwmaRate
 
 
 # -- tracing ----------------------------------------------------------------------
@@ -177,53 +176,68 @@ def test_histogram_percentiles_clamped_and_nonpositive():
     assert h.percentile(1.0) <= h.max
 
 
-def test_bench_record_carries_percentiles():
-    h = Histogram()
-    for v in (0.01, 0.02, 0.04):
-        h.observe(v)
-    snap = h.to_dict()
-    record = bench_record("x", 0.01, percentiles={
-        k: snap[k] for k in ("p50", "p95", "p99")})
-    assert validate([record], BENCH_FILE_SCHEMA) == []
-    assert record["percentiles"]["p95"] >= record["percentiles"]["p50"]
-    collector = BenchCollector()
-    collector.add_analysis("analysis/x", 0.01, histogram=h)
-    collector.add_analysis("analysis/empty", 0.01,
-                           histogram=Histogram())
-    assert "percentiles" in collector.analysis[0]
-    assert "percentiles" not in collector.analysis[1]
+# -- the EWMA rate / ETA estimator -------------------------------------------------
+
+def test_ewma_first_update_baselines():
+    rate = EwmaRate()
+    assert rate.update(100, now=1.0) == 0.0    # nothing to rate yet
+    assert rate.update(200, now=2.0) == pytest.approx(100.0)
 
 
-# -- schema validation -------------------------------------------------------------
-
-def test_validate_rejects_bad_bench_records():
-    good = bench_record("x", 0.5, states=10, transitions=20)
-    assert validate([good], BENCH_FILE_SCHEMA) == []
-    assert validate([{"name": "x"}], BENCH_FILE_SCHEMA)  # missing keys
-    bad_type = dict(good, states="ten")
-    assert any("states" in e
-               for e in validate([bad_type], BENCH_FILE_SCHEMA))
-    assert validate({"not": "a list"}, BENCH_FILE_SCHEMA)
+def test_ewma_smooths_toward_instantaneous():
+    rate = EwmaRate(alpha=0.5)
+    rate.update(0, now=0.0)
+    rate.update(100, now=1.0)                  # 100/s baseline
+    smoothed = rate.update(400, now=2.0)       # inst 300/s
+    assert 100.0 < smoothed < 300.0
 
 
-def test_bench_collector_roundtrip(tmp_path):
-    collector = BenchCollector()
-    collector.add_analysis("analysis/queue", 0.25)
-    interp = Interp(corpus.NFQ_PRIME)
-    result = Explorer(interp, [ThreadSpec.of(("UpdateTail",))],
-                      mode="full").run()
-    collector.add_mc("mc/queue", result)
-    paths = collector.write(tmp_path)
-    assert sorted(p.name for p in paths) == ["BENCH_analysis.json",
-                                             "BENCH_mc.json"]
-    for path in paths:
-        records = validate_bench_file(path)
-        assert records and records[0]["wall_s"] >= 0
-    mc_records = validate_bench_file(tmp_path / "BENCH_mc.json")
-    assert mc_records[0]["states"] == result.states
-    (tmp_path / "broken.json").write_text('[{"name": 3}]')
-    with pytest.raises(ValueError):
-        validate_bench_file(tmp_path / "broken.json")
+def test_ewma_ignores_zero_dt_and_counter_resets():
+    rate = EwmaRate()
+    rate.update(0, now=0.0)
+    first = rate.update(100, now=1.0)
+    assert rate.update(200, now=1.0) == first  # dt=0 ignored
+    # a counter reset (fresh search) re-baselines without a negative
+    # or absurd rate
+    assert rate.update(5, now=2.0) == first
+    assert rate.update(105, now=3.0) > 0.0
+
+
+def test_ewma_eta():
+    rate = EwmaRate()
+    assert rate.eta_s(100) is None             # no rate yet
+    rate.update(0, now=0.0)
+    rate.update(100, now=1.0)
+    assert rate.eta_s(200) == pytest.approx(2.0)
+    assert rate.eta_s(0) == 0.0
+    assert rate.eta_s(-5) == 0.0
+
+
+def test_ewma_eta_is_monotone_under_steady_rate():
+    # deadline-style consumer: with a steady rate and a shrinking
+    # remainder the ETA must walk monotonically down to zero, never
+    # jitter upward (what `repro top` renders as "deadline in Ns")
+    rate = EwmaRate()
+    rate.update(0, now=0.0)
+    etas = []
+    for i in range(1, 6):
+        rate.update(i * 100, now=float(i))   # steady 100/s
+        etas.append(rate.eta_s(500 - i * 100))
+    assert etas == sorted(etas, reverse=True)
+    assert etas[-1] == 0.0
+
+
+def test_ewma_reset_mid_run_recovers():
+    # a restarted search re-baselines: the stale rate survives the
+    # reset beat, then converges onto the new regime
+    rate = EwmaRate(alpha=0.5)
+    rate.update(0, now=0.0)
+    rate.update(1000, now=1.0)                # 1000/s
+    before = rate.rate
+    assert rate.update(10, now=2.0) == before  # reset only re-baselines
+    for i in range(3, 30):
+        rate.update(10 + (i - 2) * 100, now=float(i))  # now 100/s
+    assert abs(rate.rate - 100.0) < 1.0
 
 
 # -- result serialization round-trips ----------------------------------------------
@@ -474,9 +488,9 @@ def test_schema_registry_matches_live_constants():
     from repro.obs import schemas
 
     registry = schemas.registry()
-    assert set(registry) == {"events", "bench", "graph", "profile",
-                             "manifest", "lint", "cex", "heatmap",
-                             "summary", "perfdiff", "fleet"}
+    assert set(registry) == {"events", "graph", "profile", "manifest",
+                             "lint", "cex", "heatmap", "summary",
+                             "perfdiff", "fleet"}
     assert all(isinstance(v, int) and v >= 1
                for v in registry.values())
     # every emitter imports its constant from the registry, so the

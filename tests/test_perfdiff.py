@@ -1,8 +1,8 @@
 """Differential profiling: side construction from every operand form
-(profile docs, bench records, folded files, ledger runs), the ranked
-attribution document, the increase-only drift gate, and the rendered
-table — plus schema validation, so ``perf diff --json`` output stays
-machine-checkable."""
+(saved perfbench outputs, profile docs, folded files, ledger runs), the
+ranked attribution document, the increase-only drift gate, and the
+rendered table — plus schema validation, so ``perf diff --json`` output
+stays machine-checkable."""
 
 from __future__ import annotations
 
@@ -10,14 +10,50 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs import ledger
-from repro.obs.export import (PERFDIFF_SCHEMA, bench_record, validate,
-                              write_bench)
+from repro.obs.export import PERFDIFF_SCHEMA, validate
 from repro.obs.perfdiff import (DEFAULT_THRESHOLD, WORK_FLOOR,
                                 attribute, diff_specs, group_of,
                                 render_attribution, resolve_side,
-                                side_from_folded, side_from_profile_doc,
-                                side_from_records)
+                                side_from_folded, side_from_perfbench,
+                                side_from_profile_doc)
+
+
+#: per-layer metrics of a ``perfbench/run.py --trace 1`` result line
+#: (a subset; the real run prints every ``BENCHMARK.json`` layer)
+TRACED = {
+    "mc.canonical.state_key.self_s": (0.71, "s"),
+    "mc.canonical.state_key.calls": (24_000, "count"),
+    "mc.canonical.state_key.us_per_call": (29.6, "us"),
+    "interp.Interp.step.self_s": (0.26, "s"),
+    "interp.Interp.step.calls": (81_000, "count"),
+    "mc.atomic.run_to_commit.steps_per_call": (27, "count"),
+    "mc.explorer.states": (3_084, "count"),
+    "mc.explorer.new_state_frac": (0.76, "ratio"),
+    "analysis.purity.self_s": (0.0, "s"),
+}
+
+#: end-to-end metrics of an untraced (``--trace 0``) result line
+UNTRACED = {
+    "setup_s": (0.17, "s"),
+    "norm_wall_s": (1.63, "s"),
+    "norm_throughput_per_s": (1895.4, "1/s"),
+    "peak_rss_mb": (38.9, "MB"),
+}
+
+
+def _perfbench_output(tmp_path, name, metrics):
+    """A saved perfbench output: readable lines, then the JSON line."""
+    lines = ["workload gh-atomic, seed 1, trace 1"]
+    lines += [f"{n} = {v:.6g} {u}" for n, (v, u) in metrics.items()]
+    lines.append(json.dumps({
+        "correct": True, "attempted": 3, "failed": 0,
+        "metrics": {n: {"value": v, "unit": u}
+                    for n, (v, u) in metrics.items()}}))
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 def _side(label, counters, wall=None):
@@ -31,6 +67,7 @@ def _side(label, counters, wall=None):
 
 def test_group_of_prefixes():
     assert group_of("mc.successors") == "explorer"
+    assert group_of("interp.Interp.step") == "interpreter"
     assert group_of("theorem.5.3") == "theorem"
     assert group_of("lint.checker.aba_discipline") == "lint-rule"
     assert group_of("analysis.classify") == "analysis-pass"
@@ -121,16 +158,22 @@ def test_side_from_profile_doc():
     assert side["folded"] == {"mc.run;mc.successors": 0.01}
 
 
-def test_side_from_records_sums_counters():
-    records = [
-        {"name": "mc/a", "wall_s": 0.1,
-         "counters": {"mc.successors": {"calls": 1, "work": 10}}},
-        {"name": "mc/b", "wall_s": 0.2,
-         "counters": {"mc.successors": {"calls": 2, "work": 20}}}]
-    side = side_from_records("x", records)
-    assert side["counters"]["mc.successors"] == \
-        {"calls": 3, "work": 30}
-    assert side["wall"] == {"mc/a": 0.1, "mc/b": 0.2}
+def test_side_from_perfbench_counts_and_self_times():
+    doc = {"correct": True, "attempted": 3, "failed": 0,
+           "metrics": {n: {"value": v, "unit": u}
+                       for n, (v, u) in TRACED.items()}}
+    side = side_from_perfbench("x", doc)
+    # every count metric is a counter; `.calls` names its layer
+    assert side["counters"] == {
+        "mc.canonical.state_key": {"calls": 24_000, "work": 0},
+        "interp.Interp.step": {"calls": 81_000, "work": 0},
+        "mc.atomic.run_to_commit.steps_per_call": {"calls": 27,
+                                                   "work": 0},
+        "mc.explorer.states": {"calls": 3_084, "work": 0}}
+    # every `<layer>.self_s` is that layer's wall column
+    assert side["wall"] == {"mc.canonical.state_key": 0.71,
+                            "interp.Interp.step": 0.26,
+                            "analysis.purity": 0.0}
 
 
 def test_side_from_folded_usecs_to_seconds():
@@ -142,14 +185,6 @@ def test_side_from_folded_usecs_to_seconds():
 
 # -- operand resolution ------------------------------------------------------------
 
-def test_resolve_side_bench_dir(tmp_path):
-    rec = bench_record("mc/x", 0.1, states=10, transitions=20)
-    rec["counters"] = {"mc.successors": {"calls": 1, "work": 10}}
-    write_bench(tmp_path / "BENCH_mc.json", [rec])
-    side = resolve_side(str(tmp_path))
-    assert side["counters"]["mc.successors"]["work"] == 10
-
-
 def test_resolve_side_collapsed_stack_file(tmp_path):
     path = tmp_path / "profile.folded"
     path.write_text("mc.run;mc.successors 1500000\n")
@@ -160,16 +195,22 @@ def test_resolve_side_collapsed_stack_file(tmp_path):
 def test_resolve_side_unknown_operand_raises(tmp_path):
     with pytest.raises(ValueError):
         resolve_side(str(tmp_path / "nope"), root=tmp_path / "runs")
+    # a directory of retired BENCH_*.json files is no operand any more
+    with pytest.raises(ValueError, match="is a directory"):
+        resolve_side(str(tmp_path), root=tmp_path / "runs")
 
 
 def test_resolve_side_ledger_run(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "runs"))
     rec = ledger.start(["analyze", "x.synl"], "analyze")
-    rec.add_artifact("profile.json", {
-        "v": 1, "hotspots": [
-            {"name": "analysis.classify", "calls": 1, "work": 7,
-             "wall_s": 0.001, "share": 1.0}]})
-    rec.finish(0, "ok")
+    try:
+        rec.add_artifact("profile.json", {
+            "v": 1, "hotspots": [
+                {"name": "analysis.classify", "calls": 1, "work": 7,
+                 "wall_s": 0.001, "share": 1.0}]})
+        rec.finish(0, "ok")
+    finally:
+        ledger.stop(rec)       # later tests must start their own runs
     side = resolve_side("last", root=tmp_path / "runs")
     assert side["counters"]["analysis.classify"]["work"] == 7
     assert side["label"].startswith("ledger:")
@@ -192,11 +233,45 @@ def test_render_clean_diff_says_so():
 
 
 def test_diff_specs_end_to_end(tmp_path):
-    for name, work in (("a", 1000), ("b", 1600)):
-        rec = bench_record("mc/x", 0.1, states=10, transitions=20)
-        rec["counters"] = {"mc.successors": {"calls": 0, "work": work}}
-        write_bench(tmp_path / name / "BENCH_mc.json", [rec])
-    report = diff_specs(str(tmp_path / "a"), str(tmp_path / "b"),
-                        threshold=DEFAULT_THRESHOLD)
+    a = _perfbench_output(tmp_path, "a.txt", TRACED)
+    grown = dict(TRACED, **{"interp.Interp.step.calls": (130_000,
+                                                         "count")})
+    b = _perfbench_output(tmp_path, "b.txt", grown)
+    report = diff_specs(a, b, threshold=DEFAULT_THRESHOLD)
     assert report["drift"] is True
+    assert report["drifted"] == ["interp.Interp.step"]
     assert validate(report, PERFDIFF_SCHEMA) == []
+
+
+# -- perf diff over saved perfbench outputs ----------------------------------------
+
+def test_identical_traced_outputs_diff_empty_at_threshold_0(
+        tmp_path, capsys):
+    a = _perfbench_output(tmp_path, "a.txt", TRACED)
+    b = _perfbench_output(tmp_path, "b.txt", TRACED)
+    assert main(["perf", "diff", a, b, "--threshold", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "no attributed drift" in out
+    assert "mc.canonical.state_key" in out
+    assert "interp.Interp.step" in out
+
+
+def test_state_key_calls_growth_exits_1_naming_the_layer(
+        tmp_path, capsys):
+    a = _perfbench_output(tmp_path, "a.txt", TRACED)
+    grown = dict(TRACED, **{"mc.canonical.state_key.calls": (36_000,
+                                                             "count")})
+    b = _perfbench_output(tmp_path, "b.txt", grown)     # +50%
+    assert main(["perf", "diff", a, b]) == 1
+    out = capsys.readouterr().out
+    assert "DRIFT: 1 region(s) grew past +25%: " \
+        "mc.canonical.state_key" in out
+    assert "+50.0%" in out
+
+
+def test_untraced_output_exits_2_asking_for_trace_1(tmp_path, capsys):
+    a = _perfbench_output(tmp_path, "a.txt", TRACED)
+    b = _perfbench_output(tmp_path, "b.txt", UNTRACED)
+    assert main(["perf", "diff", a, b]) == 2
+    err = capsys.readouterr().err
+    assert "no count metrics" in err and "--trace 1" in err

@@ -17,8 +17,7 @@ from repro.mc import Explorer
 from repro.mc.explorer import MCResult
 from repro.obs.config import ObsConfig
 from repro.obs.events import EVENT_SCHEMA, EventStream
-from repro.obs.export import (MIN_RATE_WINDOW_S, PROFILE_SCHEMA,
-                              bench_record, validate)
+from repro.obs.export import MIN_RATE_WINDOW_S, PROFILE_SCHEMA, validate
 from repro.obs.profile import (NULL_PROFILER, Profiler, Sampler,
                                malloc_top, peak_rss_mb)
 
@@ -287,17 +286,6 @@ def test_states_per_s_guard_for_submillisecond_runs():
     assert fake.states_per_s == 0.0
     fake.elapsed = 0.5
     assert fake.states_per_s == pytest.approx(200.0)
-
-
-def test_bench_record_rate_guard_and_resource_fields():
-    rec = bench_record("mc/x", MIN_RATE_WINDOW_S / 2, states=500,
-                       transitions=600, mem_peak_mb=21.456789,
-                       dedup_hit_rate=0.3333333)
-    assert rec["states_per_s"] == 0.0
-    assert rec["mem_peak_mb"] == 21.457
-    assert rec["dedup_hit_rate"] == 0.333333
-    assert bench_record("mc/x", 0.5, states=500)["states_per_s"] \
-        == pytest.approx(1000.0)
 
 
 # -- collapsed-stack (folded) accumulator ------------------------------------------

@@ -78,7 +78,7 @@ def test_check_html_flags_missing_sections_and_external_assets():
     full = render_report(fixture_inputs())
     truncated = full[: full.index("id='sec-coverage'") - 20]
     problems = check_html(truncated)
-    assert "coverage" in problems and "bench" in problems
+    assert "coverage" in problems and "trend" in problems
     leaky = full.replace(
         "</body>", "<script src='https://cdn.example/x.js'></script>"
         "</body>")
@@ -98,7 +98,6 @@ def test_classify_by_shape():
     assert classify("a.json", fx["analysis.json"]) == "analysis"
     assert classify("m.json", fx["mc.json"]) == "mc"
     assert classify("e.jsonl", fx["events.jsonl"]) == "events"
-    assert classify("b.json", fx["BENCH_mc.json"]) == "bench"
     assert classify("l.json",
                     fx["analysis.json"]["lint"]) == "lint"
     assert classify("x.json", {"unrelated": 1}) is None
@@ -113,10 +112,6 @@ def test_collect_inputs_scans_and_buckets(tmp_path):
     (tmp_path / "mc.json").write_text(json.dumps(fx["mc.json"]))
     (tmp_path / "events.jsonl").write_text(
         "\n".join(json.dumps(e) for e in fx["events.jsonl"]))
-    (tmp_path / "BENCH_mc.json").write_text(
-        json.dumps(fx["BENCH_mc.json"]))
-    (tmp_path / "REGRESS_history.jsonl").write_text(
-        "\n".join(json.dumps(e) for e in fx["history"]))
     (tmp_path / "BENCH_history.jsonl").write_text(
         "\n".join(json.dumps(e) for e in fx["BENCH_history"]))
     (tmp_path / "crossval.txt").write_text(fx["crossval.txt"])
@@ -128,18 +123,11 @@ def test_collect_inputs_scans_and_buckets(tmp_path):
         run_dir = tmp_path / manifest["run_id"]
         run_dir.mkdir()
         (run_dir / "manifest.json").write_text(json.dumps(manifest))
-    baselines = tmp_path / "baselines"
-    baselines.mkdir()
-    (baselines / "BENCH_mc.json").write_text(
-        json.dumps(fx["baseline_BENCH_mc.json"]))
 
-    inputs = collect_inputs([tmp_path], baseline_dir=baselines)
+    inputs = collect_inputs([tmp_path])
     assert [label for label, _ in inputs.analyses] == ["analysis.json"]
     assert [label for label, _ in inputs.mcs] == ["mc.json"]
     assert [label for label, _ in inputs.events] == ["events.jsonl"]
-    assert set(inputs.bench_fresh) == {"BENCH_mc.json"}
-    assert set(inputs.bench_baseline) == {"BENCH_mc.json"}
-    assert len(inputs.history) == 2
     assert len(inputs.bench_history) == 8
     assert [label for label, _ in inputs.tables] == ["crossval.txt"]
     assert [label for label, _ in inputs.summaries] \
@@ -199,15 +187,15 @@ def test_cli_report_no_inputs_errors(tmp_path, capsys, monkeypatch):
 def test_trend_section_renders_from_history():
     html_text = render_report(fixture_inputs())
     assert "Perf trajectory" in html_text
-    assert "8 bench run(s)" in html_text
-    # sparkline glyphs from repro.obs.bench make it into the table
+    assert "8 run(s)" in html_text
+    # sparkline glyphs from repro.obs.changepoint make it into the table
     assert any(ch in html_text for ch in "▁▂▃▄▅▆▇█")
 
 
 def test_trend_placeholder_never_dropped():
     html_text = render_report(ReportInputs())
     assert "id='sec-trend'" in html_text
-    assert "repro bench run" in html_text      # the how-to hint
+    assert "append one line of perfbench medians" in html_text
     assert check_html(html_text) == []
 
 
@@ -218,28 +206,38 @@ def test_flame_chart_rendered_from_folded_profile():
     assert "mc.successors" in html_text
 
 
-def test_classify_v2_bench_document():
-    doc = {"v": 2, "at": 1.0, "repeats": 3,
-           "env": {"python": "3.x", "platform": "t", "cpu_count": 1},
-           "records": list(SELF_CHECK_FIXTURE["BENCH_mc.json"])}
-    assert classify("BENCH_mc.json", doc) == "bench"
-
-
-def test_collect_inputs_unwraps_v2_and_routes_history(tmp_path):
+def test_collect_inputs_routes_history(tmp_path):
     fx = SELF_CHECK_FIXTURE
-    v2 = {"v": 2, "at": 1.0, "repeats": 3,
-          "env": {"python": "3.x", "platform": "t", "cpu_count": 1},
-          "records": list(fx["BENCH_mc.json"])}
-    (tmp_path / "BENCH_mc.json").write_text(json.dumps(v2))
     (tmp_path / "BENCH_history.jsonl").write_text(
         "\n".join(json.dumps(e) for e in fx["BENCH_history"]))
     inputs = collect_inputs([tmp_path])
-    # v2 wrappers are unwrapped to bare record lists for the table
-    assert inputs.bench_fresh["BENCH_mc.json"] == fx["BENCH_mc.json"]
     assert len(inputs.bench_history) == 8
+    assert inputs.events == []            # not misfiled as events
     html_text = render_report(inputs)
     assert check_html(html_text) == []
-    assert "Perf trajectory" in html_text and "bench run(s)" in html_text
+    assert "Perf trajectory" in html_text and "8 run(s)" in html_text
+
+
+def test_report_trend_single_sample_note():
+    entry = fixture_inputs().bench_history[0]
+    one = render_report(ReportInputs(bench_history=[entry]))
+    assert "1 sample" in one
+    two = render_report(ReportInputs(bench_history=[entry, entry]))
+    assert "1 sample" not in two
+
+
+def test_trend_section_plots_norm_wall_s_in_seconds():
+    # the report plots the same default metric as `repro perf trend`,
+    # labelled with the unit its name's suffix gives
+    history = [{"at": 1.0, "env": {"git_rev": "ae6d39d"},
+                "metrics": {"gh-atomic": {"norm_wall_s": 7.172}}},
+               {"at": 2.0, "env": {"git_rev": "1bfca92"},
+                "metrics": {"gh-atomic": {"norm_wall_s": 2.045}}}]
+    html_text = render_report(ReportInputs(bench_history=history))
+    assert "first (s)" in html_text and "latest (s)" in html_text
+    assert "(ms)" not in html_text
+    assert ">7.172<" in html_text and ">2.045<" in html_text
+    assert "-71.5%" in html_text
 
 
 # -- state-space section (graph captures + statement heatmap) ----------------------
